@@ -206,7 +206,8 @@ func SummarizeTimeline(snapshots []*Table, opts Options) (*Timeline, error) {
 // SummarizeTimelineAll summarizes an entire snapshot chain across all
 // changed numeric attributes: steps run concurrently on a pool bounded by
 // base.Workers, each consecutive pair is aligned exactly once, and all
-// targets of a pair share one PairContext. base.Target is ignored; the other
+// targets of a pair share one PairContext. A non-empty base.Target narrows
+// the walk to that attribute (see SummarizeTimelineTarget); the other
 // fields supply the shared parameters, exactly as in SummarizeAll.
 func SummarizeTimelineAll(snapshots []*Table, base Options) (*MultiTimeline, error) {
 	return history.SummarizeAll(snapshots, base)

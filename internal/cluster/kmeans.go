@@ -1,8 +1,8 @@
-// Package cluster implements k-means clustering with k-means++ seeding and
-// automatic selection of k. ChARLES clusters the one-dimensional residuals
-// of a global regression to discover candidate data partitions, so the
-// package provides both a 1-D convenience path and a general d-dim
-// implementation, plus silhouette-based selection of k.
+// Package cluster implements one-dimensional k-means (Lloyd's algorithm
+// with k-means++ seeding and several restarts). ChARLES clusters the scalar
+// residuals of a global regression to discover candidate data partitions,
+// once per (transformation subset, k) candidate, so the package is a
+// dedicated scalar implementation of exactly that.
 package cluster
 
 import (
@@ -15,11 +15,11 @@ import (
 // Result holds the outcome of a k-means run.
 type Result struct {
 	K         int
-	Labels    []int       // cluster id per point, in input order
-	Centers   [][]float64 // K × d centroids
-	Inertia   float64     // Σ squared distance to assigned centroid
-	Iters     int         // iterations until convergence
-	Sizes     []int       // points per cluster
+	Labels    []int     // cluster id per point, in input order
+	Centers   []float64 // K centroids
+	Inertia   float64   // Σ squared distance to assigned centroid
+	Iters     int       // iterations until convergence
+	Sizes     []int     // points per cluster
 	Converged bool
 }
 
@@ -40,46 +40,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// KMeans clusters d-dimensional points into k clusters (Lloyd's algorithm,
-// k-means++ seeding, multiple restarts). Deterministic for a fixed seed.
-func KMeans(points [][]float64, k int, opts Options) (*Result, error) {
-	n := len(points)
-	if k <= 0 {
-		return nil, fmt.Errorf("cluster: k must be positive, got %d", k)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: no points")
-	}
-	if k > n {
-		k = n
-	}
-	d := len(points[0])
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("cluster: point %d has dim %d, want %d", i, len(p), d)
-		}
-	}
-	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	var best *Result
-	for r := 0; r < opts.Restarts; r++ {
-		res := runLloyd(points, k, opts.MaxIters, rng)
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
-		}
-	}
-	relabelBySize(best)
-	return best, nil
-}
-
-// KMeans1D clusters scalar values — the shape the ChARLES residual-
-// clustering step calls in its inner loop. It is a dedicated scalar
-// implementation rather than a boxing wrapper around KMeans: the engine
-// runs it once per (T, k) candidate, and allocating one []float64 per point
-// dominated the whole pipeline's allocation profile. The arithmetic mirrors
-// runLloyd/seedPlusPlus exactly (same RNG consumption, same operation
-// order), so results are bit-identical to the boxed path.
+// KMeans1D clusters scalar values into k clusters (k is clamped to the
+// number of values): opts.Restarts independent k-means++ seedings, each
+// refined by up to opts.MaxIters Lloyd iterations, and the lowest-inertia
+// run wins. Labels are renumbered so cluster 0 is the largest.
+// Deterministic for a fixed opts.Seed.
 func KMeans1D(values []float64, k int, opts Options) (*Result, error) {
 	n := len(values)
 	if k <= 0 {
@@ -176,17 +141,14 @@ func runLloyd1D(values []float64, k, maxIters int, rng *rand.Rand) *Result {
 	res.Labels = labels
 	res.Sizes = sizes
 	res.Inertia = inertia
-	res.Centers = make([][]float64, k)
-	for c, v := range centers {
-		res.Centers[c] = []float64{v}
-	}
+	res.Centers = centers
 	return res
 }
 
-// sq mirrors sqDist for d = 1 (0 + d·d, the identical float sequence).
+// sq is the squared distance of a scalar difference.
 func sq(d float64) float64 { return d * d }
 
-// seedPlusPlus1D mirrors seedPlusPlus on scalars with the same RNG calls.
+// seedPlusPlus1D picks k initial centers with the k-means++ distribution.
 func seedPlusPlus1D(values []float64, k int, rng *rand.Rand) []float64 {
 	n := len(values)
 	centers := make([]float64, 0, k)
@@ -224,139 +186,6 @@ func seedPlusPlus1D(values []float64, k int, rng *rand.Rand) []float64 {
 	return centers
 }
 
-func runLloyd(points [][]float64, k, maxIters int, rng *rand.Rand) *Result {
-	n, d := len(points), len(points[0])
-	centers := seedPlusPlus(points, k, rng)
-	labels := make([]int, n)
-	sizes := make([]int, k)
-	res := &Result{K: k}
-	for iter := 0; iter < maxIters; iter++ {
-		changed := false
-		// Assignment step.
-		for i, p := range points {
-			bi, bd := 0, math.Inf(1)
-			for c := range centers {
-				dd := sqDist(p, centers[c])
-				if dd < bd {
-					bi, bd = c, dd
-				}
-			}
-			if labels[i] != bi {
-				labels[i] = bi
-				changed = true
-			}
-		}
-		if iter > 0 && !changed {
-			res.Converged = true
-			res.Iters = iter
-			break
-		}
-		// Update step.
-		for c := range centers {
-			for j := 0; j < d; j++ {
-				centers[c][j] = 0
-			}
-			sizes[c] = 0
-		}
-		for i, p := range points {
-			c := labels[i]
-			sizes[c]++
-			for j := 0; j < d; j++ {
-				centers[c][j] += p[j]
-			}
-		}
-		for c := range centers {
-			if sizes[c] == 0 {
-				// Re-seed an empty cluster at the point farthest from its center.
-				fi, fd := 0, -1.0
-				for i, p := range points {
-					dd := sqDist(p, centers[labels[i]])
-					if dd > fd {
-						fi, fd = i, dd
-					}
-				}
-				copy(centers[c], points[fi])
-				continue
-			}
-			inv := 1 / float64(sizes[c])
-			for j := 0; j < d; j++ {
-				centers[c][j] *= inv
-			}
-		}
-		res.Iters = iter + 1
-	}
-	// Final assignment + inertia.
-	inertia := 0.0
-	for c := range sizes {
-		sizes[c] = 0
-	}
-	for i, p := range points {
-		bi, bd := 0, math.Inf(1)
-		for c := range centers {
-			dd := sqDist(p, centers[c])
-			if dd < bd {
-				bi, bd = c, dd
-			}
-		}
-		labels[i] = bi
-		sizes[bi]++
-		inertia += bd
-	}
-	res.Labels = labels
-	res.Centers = centers
-	res.Sizes = sizes
-	res.Inertia = inertia
-	return res
-}
-
-// seedPlusPlus picks k initial centers with the k-means++ distribution.
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
-	n := len(points)
-	centers := make([][]float64, 0, k)
-	first := points[rng.Intn(n)]
-	centers = append(centers, append([]float64(nil), first...))
-	dist := make([]float64, n)
-	for len(centers) < k {
-		total := 0.0
-		for i, p := range points {
-			dd := math.Inf(1)
-			for _, c := range centers {
-				if v := sqDist(p, c); v < dd {
-					dd = v
-				}
-			}
-			dist[i] = dd
-			total += dd
-		}
-		var chosen int
-		if total == 0 {
-			chosen = rng.Intn(n)
-		} else {
-			target := rng.Float64() * total
-			acc := 0.0
-			chosen = n - 1
-			for i, dd := range dist {
-				acc += dd
-				if acc >= target {
-					chosen = i
-					break
-				}
-			}
-		}
-		centers = append(centers, append([]float64(nil), points[chosen]...))
-	}
-	return centers
-}
-
-func sqDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
 // relabelBySize renumbers clusters so that cluster 0 is the largest; this
 // makes downstream output deterministic and stable across seeds.
 func relabelBySize(r *Result) {
@@ -368,8 +197,8 @@ func relabelBySize(r *Result) {
 		if r.Sizes[order[a]] != r.Sizes[order[b]] {
 			return r.Sizes[order[a]] > r.Sizes[order[b]]
 		}
-		// Tie-break on first center coordinate for determinism.
-		return r.Centers[order[a]][0] < r.Centers[order[b]][0]
+		// Tie-break on the center for determinism.
+		return r.Centers[order[a]] < r.Centers[order[b]]
 	})
 	remap := make([]int, r.K)
 	for newID, oldID := range order {
@@ -378,7 +207,7 @@ func relabelBySize(r *Result) {
 	for i, l := range r.Labels {
 		r.Labels[i] = remap[l]
 	}
-	newCenters := make([][]float64, r.K)
+	newCenters := make([]float64, r.K)
 	newSizes := make([]int, r.K)
 	for oldID, newID := range remap {
 		newCenters[newID] = r.Centers[oldID]
@@ -386,119 +215,4 @@ func relabelBySize(r *Result) {
 	}
 	r.Centers = newCenters
 	r.Sizes = newSizes
-}
-
-// silhouetteAccept is the minimum mean silhouette for a multi-cluster
-// solution to beat the single-cluster default. Splitting homogeneous 1-D
-// data at its median yields silhouettes around 0.55, so 0.6 separates real
-// structure from inertia-chasing splits.
-const silhouetteAccept = 0.6
-
-// silhouetteSample caps the points used for silhouette evaluation (which is
-// quadratic); a uniform stride subsample preserves cluster proportions.
-const silhouetteSample = 512
-
-// ChooseK runs k-means for k = 1..kmax and selects the k with the best mean
-// silhouette, defaulting to k = 1 when no multi-cluster solution is
-// convincingly separated. (Raw inertia keeps improving with k — splitting a
-// single Gaussian nearly triples the fit — so an elbow/BIC rule on inertia
-// alone over-segments; silhouette measures separation directly.)
-func ChooseK(points [][]float64, kmax int, opts Options) (*Result, error) {
-	if kmax <= 0 {
-		return nil, fmt.Errorf("cluster: kmax must be positive, got %d", kmax)
-	}
-	n := len(points)
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: no points")
-	}
-	results := make([]*Result, 0, kmax)
-	for k := 1; k <= kmax && k <= n; k++ {
-		res, err := KMeans(points, k, opts)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	if len(results) == 1 {
-		return results[0], nil
-	}
-	// Subsample for the quadratic silhouette pass.
-	stride := 1
-	if n > silhouetteSample {
-		stride = (n + silhouetteSample - 1) / silhouetteSample
-	}
-	var subPts [][]float64
-	for i := 0; i < n; i += stride {
-		subPts = append(subPts, points[i])
-	}
-	best := results[0] // k = 1 default
-	bestSil := silhouetteAccept
-	for _, res := range results[1:] {
-		var subLabels []int
-		for i := 0; i < n; i += stride {
-			subLabels = append(subLabels, res.Labels[i])
-		}
-		if sil := Silhouette(subPts, subLabels, res.K); sil > bestSil {
-			best, bestSil = res, sil
-		}
-	}
-	return best, nil
-}
-
-// ChooseK1D is ChooseK for scalar values.
-func ChooseK1D(values []float64, kmax int, opts Options) (*Result, error) {
-	pts := make([][]float64, len(values))
-	for i, v := range values {
-		pts[i] = []float64{v}
-	}
-	return ChooseK(pts, kmax, opts)
-}
-
-// Silhouette computes the mean silhouette coefficient of a clustering
-// (in [-1, 1], higher = better separated). O(n²); intended for tests and
-// small diagnostic runs, not the hot path.
-func Silhouette(points [][]float64, labels []int, k int) float64 {
-	n := len(points)
-	if n == 0 || k <= 1 {
-		return 0
-	}
-	total, counted := 0.0, 0
-	for i := 0; i < n; i++ {
-		sumBy := make([]float64, k)
-		cntBy := make([]int, k)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			d := math.Sqrt(sqDist(points[i], points[j]))
-			sumBy[labels[j]] += d
-			cntBy[labels[j]]++
-		}
-		own := labels[i]
-		if cntBy[own] == 0 {
-			continue // singleton cluster: silhouette undefined
-		}
-		a := sumBy[own] / float64(cntBy[own])
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == own || cntBy[c] == 0 {
-				continue
-			}
-			if v := sumBy[c] / float64(cntBy[c]); v < b {
-				b = v
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-			counted++
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
 }

@@ -82,41 +82,24 @@ func TestKMeansLabelsSortedBySize(t *testing.T) {
 }
 
 func TestKMeansErrors(t *testing.T) {
-	if _, err := KMeans(nil, 2, Options{}); err == nil {
+	if _, err := KMeans1D(nil, 2, Options{}); err == nil {
 		t.Error("no points accepted")
 	}
-	if _, err := KMeans([][]float64{{1}}, 0, Options{}); err == nil {
+	if _, err := KMeans1D([]float64{1}, 0, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KMeans([][]float64{{1}, {1, 2}}, 1, Options{}); err == nil {
-		t.Error("ragged points accepted")
+	if _, err := KMeans1D([]float64{1}, -1, Options{}); err == nil {
+		t.Error("negative k accepted")
 	}
 }
 
 func TestKMeansKLargerThanN(t *testing.T) {
-	res, err := KMeans([][]float64{{1}, {2}}, 5, Options{Seed: 1})
+	res, err := KMeans1D([]float64{1, 2}, 5, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.K != 2 {
 		t.Errorf("K should clamp to n: %d", res.K)
-	}
-}
-
-func TestKMeansMultiDim(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var pts [][]float64
-	for _, c := range [][]float64{{0, 0}, {50, 50}} {
-		for i := 0; i < 25; i++ {
-			pts = append(pts, []float64{c[0] + rng.NormFloat64(), c[1] + rng.NormFloat64()})
-		}
-	}
-	res, err := KMeans(pts, 2, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Labels[0] == res.Labels[25] {
-		t.Error("2-D clusters not separated")
 	}
 }
 
@@ -172,58 +155,6 @@ func TestKMeansMoreClustersNeverWorse(t *testing.T) {
 			t.Errorf("k=%d inertia %v worse than k-1 %v", k, res.Inertia, prev)
 		}
 		prev = res.Inertia
-	}
-}
-
-func TestChooseKFindsThree(t *testing.T) {
-	vals := wellSeparated1D()
-	res, err := ChooseK1D(vals, 6, Options{Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K != 3 {
-		t.Errorf("ChooseK picked %d, want 3", res.K)
-	}
-}
-
-func TestChooseKSingleCluster(t *testing.T) {
-	// Homogeneous data: the BIC penalty should keep k small.
-	rng := rand.New(rand.NewSource(11))
-	vals := make([]float64, 60)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()
-	}
-	res, err := ChooseK1D(vals, 5, Options{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K > 2 {
-		t.Errorf("ChooseK picked %d for homogeneous data", res.K)
-	}
-}
-
-func TestChooseKErrors(t *testing.T) {
-	if _, err := ChooseK(nil, 3, Options{}); err == nil {
-		t.Error("no points accepted")
-	}
-	if _, err := ChooseK([][]float64{{1}}, 0, Options{}); err == nil {
-		t.Error("kmax=0 accepted")
-	}
-}
-
-func TestSilhouette(t *testing.T) {
-	pts := [][]float64{{0}, {1}, {100}, {101}}
-	labels := []int{0, 0, 1, 1}
-	s := Silhouette(pts, labels, 2)
-	if s < 0.9 {
-		t.Errorf("well-separated silhouette = %v, want near 1", s)
-	}
-	bad := []int{0, 1, 0, 1}
-	if Silhouette(pts, bad, 2) >= s {
-		t.Error("bad clustering should have lower silhouette")
-	}
-	if Silhouette(pts, labels, 1) != 0 {
-		t.Error("k=1 silhouette should be 0")
 	}
 }
 

@@ -171,8 +171,11 @@ func (e *engine) run() ([]Ranked, error) {
 	tranSubsets := e.featureSubsets()
 
 	// Fan the transformation-feature subsets across workers; the engine is
-	// read-only during candidate generation, and the fingerprint-dedup +
-	// total-order sort below make the outcome independent of scheduling.
+	// read-only during candidate generation. Each result carries its
+	// subset's index, and the fingerprint dedup below keeps, among equal
+	// scores, the candidate from the earliest subset — the one a single
+	// worker visits first — so with the total-order sort the outcome does
+	// not depend on scheduling or worker count.
 	workers := e.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -184,10 +187,11 @@ func (e *engine) run() ([]Ranked, error) {
 		workers = 1
 	}
 	type unit struct {
+		subset int
 		ranked []Ranked
 		err    error
 	}
-	jobs := make(chan []model.Feature)
+	jobs := make(chan int)
 	results := make(chan unit)
 	done := make(chan struct{}) // closed on first worker error: stop feeding
 	var wg sync.WaitGroup
@@ -202,17 +206,17 @@ func (e *engine) run() ([]Ranked, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for T := range jobs {
-				ranked, err := e.evalFeatureSet(T, condSubsets, ev)
-				results <- unit{ranked: ranked, err: err}
+			for i := range jobs {
+				ranked, err := e.evalFeatureSet(tranSubsets[i], condSubsets, ev)
+				results <- unit{subset: i, ranked: ranked, err: err}
 			}
 		}()
 	}
 	go func() {
 		defer close(jobs)
-		for _, T := range tranSubsets {
+		for i := range tranSubsets {
 			select {
-			case jobs <- T:
+			case jobs <- i:
 			case <-done:
 				return // a worker failed; don't evaluate the remaining subsets
 			}
@@ -223,7 +227,11 @@ func (e *engine) run() ([]Ranked, error) {
 		close(results)
 	}()
 
-	best := map[string]Ranked{} // fingerprint -> best-scoring instance
+	type pick struct {
+		r      Ranked
+		subset int
+	}
+	best := map[string]pick{} // fingerprint -> best-scoring instance
 	var firstErr error
 	for u := range results {
 		if u.err != nil && firstErr == nil {
@@ -232,8 +240,10 @@ func (e *engine) run() ([]Ranked, error) {
 		}
 		for _, r := range u.ranked {
 			fp := r.Summary.Fingerprint()
-			if cur, ok := best[fp]; !ok || r.Breakdown.Score > cur.Breakdown.Score {
-				best[fp] = r
+			cur, ok := best[fp]
+			if !ok || r.Breakdown.Score > cur.r.Breakdown.Score ||
+				(r.Breakdown.Score == cur.r.Breakdown.Score && u.subset < cur.subset) {
+				best[fp] = pick{r, u.subset}
 			}
 		}
 	}
@@ -242,8 +252,8 @@ func (e *engine) run() ([]Ranked, error) {
 	}
 
 	ranked := make([]Ranked, 0, len(best))
-	for _, r := range best {
-		ranked = append(ranked, r)
+	for _, p := range best {
+		ranked = append(ranked, p.r)
 	}
 	sort.SliceStable(ranked, func(i, j int) bool {
 		if ranked[i].Breakdown.Score != ranked[j].Breakdown.Score {

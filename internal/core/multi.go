@@ -35,15 +35,16 @@ func SummarizeAll(src, tgt *table.Table, base Options) (*MultiResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SummarizeAllWith(ctx, base)
+	base.Target = ""
+	return SummarizeAllWith(a, base, ctx.Summarize)
 }
 
-// SummarizeAllWith is SummarizeAll over a prepared PairContext, for callers
-// that align (and amortize) themselves — the timeline layer builds one
-// context per consecutive snapshot pair and runs every changed attribute
-// through it.
-func SummarizeAllWith(ctx *PairContext, base Options) (*MultiResult, error) {
-	a := ctx.Aligned()
+// SummarizeAllWith is SummarizeAll over an aligned pair with the engine run
+// supplied by the caller: run is called once per summarized attribute, with
+// that attribute's options. A non-empty base.Target restricts the pass to
+// that one attribute (reported only if it changed). The timeline layer uses
+// it to build a step's PairContext lazily and to memoize runs across walks.
+func SummarizeAllWith(a *diff.Aligned, base Options, run func(Options) ([]Ranked, error)) (*MultiResult, error) {
 	tol := base.ChangeTol
 	if tol == 0 {
 		tol = 1e-9
@@ -54,6 +55,9 @@ func SummarizeAllWith(ctx *PairContext, base Options) (*MultiResult, error) {
 	}
 	res := &MultiResult{ByAttr: map[string][]Ranked{}, Skipped: map[string]string{}}
 	for _, attr := range changed {
+		if base.Target != "" && attr != base.Target {
+			continue
+		}
 		col, err := a.Source.Column(attr)
 		if err != nil {
 			return nil, err
@@ -72,7 +76,7 @@ func SummarizeAllWith(ctx *PairContext, base Options) (*MultiResult, error) {
 		if len(base.CondAttrs) == 0 {
 			opts.CondAttrs = nil
 		}
-		ranked, err := ctx.Summarize(opts)
+		ranked, err := run(opts)
 		if err != nil {
 			return nil, err
 		}

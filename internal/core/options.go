@@ -98,12 +98,14 @@ type Options struct {
 
 	// Workers bounds the goroutines evaluating candidate (C, T, k)
 	// combinations; 0 uses GOMAXPROCS. The search is embarrassingly
-	// parallel over transformation-feature subsets, and results are
-	// identical regardless of worker count (candidates are deduplicated by
-	// fingerprint and ranked with total-order tie-breaks). The timeline
-	// layer (history.SummarizeAll) reuses the same knob to bound its
-	// per-step worker pool, collapsing each engine run to one worker when
-	// the step pool is parallel so total concurrency stays at the bound.
+	// parallel over transformation-feature subsets, and the result is the
+	// same at every worker count: candidates are deduplicated by
+	// fingerprint, an equal-score duplicate keeping the instance from the
+	// earliest subset (the one a single worker meets first), and ranked
+	// with total-order tie-breaks. The timeline layer (history.SummarizeAll)
+	// reuses the knob to bound its per-step worker pool, collapsing each
+	// engine run to one worker when the step pool is parallel so total
+	// concurrency stays at the bound.
 	Workers int
 }
 
@@ -127,12 +129,13 @@ func DefaultOptions(target string) Options {
 
 // Fingerprint returns a deterministic digest of every option that can
 // influence a Summarize result. Two Options values with equal fingerprints
-// produce identical rankings over the same snapshot pair (the engine is
-// deterministic given Seed and independent of Workers), which makes the
+// produce identical rankings — whole structures, not just their rendering —
+// over the same snapshot pair (the engine is deterministic given Seed, and
+// Workers changes only how the search is scheduled), which makes the
 // fingerprint a sound component of result-cache keys.
 func (o Options) Fingerprint() string {
 	var b strings.Builder
-	// Workers is deliberately excluded: results are identical regardless of
+	// Workers is deliberately excluded: results are identical at every
 	// worker count. Every other field participates. String components are
 	// %q-quoted so attribute names containing separators cannot make
 	// distinct option sets collide.

@@ -61,9 +61,6 @@ func NewPairContext(a *diff.Aligned, condAttrs ...string) (*PairContext, error) 
 	return &PairContext{a: a, pcache: predicate.NewCache(a.Source), dindex: dindex}, nil
 }
 
-// Aligned returns the snapshot pair the context was built for.
-func (pc *PairContext) Aligned() *diff.Aligned { return pc.a }
-
 // Summarize runs the engine for opts over the context's pair, sharing the
 // atom cache and split index with every other run on the same context. The
 // ranking is bit-identical to Summarize/SummarizeAligned with the same

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,41 +90,38 @@ type MultiTimeline struct {
 	Steps int
 }
 
-// SummarizeAll summarizes an entire version chain across all changed numeric
-// attributes: each consecutive snapshot pair is aligned exactly once, every
-// changed attribute of the pair runs through one shared core.PairContext
-// (one atom cache and one split index per pair, regardless of how many
-// targets it has), and the steps are fanned out over a worker pool bounded
-// by base.Workers (0 = GOMAXPROCS). When the step pool is parallel, each
-// engine run is single-threaded so total concurrency stays at the bound
-// rather than squaring it; a single-step chain gets the full budget inside
-// the one engine run.
-//
-// The result is bit-identical to the sequential per-pair, per-target loop —
-// steps are independent and merged in step order, and the engine itself is
-// deterministic and scheduling-independent.
+// Memo caches per-step engine results across timeline walks. A walk calls
+// it once for every (step, target) engine run, passing the step's version
+// ids and the run's options — together with opts.Fingerprint() they
+// identify the result — and uses the ranking it returns; run computes the
+// ranking on a miss.
+type Memo func(from, to string, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error)
+
+// SummarizeAll summarizes an entire version chain: base.Target when it is
+// set, otherwise every changed numeric attribute. Each consecutive snapshot
+// pair is aligned exactly once, the targets of a pair run through one shared
+// core.PairContext (one atom cache and one split index per pair, regardless
+// of how many targets it has), and the steps are fanned out over a worker
+// pool bounded by base.Workers (0 = GOMAXPROCS). When the step pool is
+// parallel, each engine run is single-threaded so total concurrency stays at
+// the bound rather than squaring it; a single-step chain gets the full
+// budget inside the one engine run. The engine's rankings do not depend on
+// its worker count and steps are merged in step order, so the result is the
+// same at every bound.
 func SummarizeAll(snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
 	return SummarizeAllContext(context.Background(), snapshots, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeAllContext
 }
 
 // SummarizeAllContext is SummarizeAll bounded by ctx: a cancelled or expired
-// context stops the step pool from dispatching further steps and returns the
-// context's error. Steps already running finish their current engine pass
-// (the engine itself is not preemptible) before the pool drains.
+// context stops the step pool from dispatching further steps and further
+// engine runs, and returns the context's error. A run already in progress
+// finishes (the engine itself is not preemptible) before the pool drains.
 func SummarizeAllContext(ctx context.Context, snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
-	if len(snapshots) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
-	}
-	steps := len(snapshots) - 1
-	results := make([]*core.MultiResult, steps)
-	if err := forEachStep(ctx, steps, base.Workers, func(i int, engineBase core.Options) error {
-		var err error
-		results[i], err = summarizeStep(snapshots[i], snapshots[i+1], engineBase)
-		return err
-	}, base); err != nil {
+	results, err := walk(ctx, snapshots, nil, base, nil)
+	if err != nil {
 		return nil, err
 	}
-	return mergeSteps(snapshots[0], results), nil
+	return mergeSteps(snapshots[0], results, base.Target), nil
 }
 
 // CheckoutSource abstracts a version store that can materialize stored
@@ -181,58 +179,72 @@ func MaterializeChain(src CheckoutSource, ids []string) ([]*table.Table, error) 
 // checks for cancellation before each version, so a caller abandoning a
 // long chain stops paying for checkouts it will never read.
 func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []string) ([]*table.Table, error) {
-	ds, _ := src.(DeltaSource)
-	cc, _ := src.(CachedCheckoutSource)
-	sa, _ := src.(SnapshotAdmitter)
 	out := make([]*table.Table, len(ids))
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if cc != nil {
-			if t, ok := cc.CheckoutCached(id); ok {
-				out[i] = t
-				continue
-			}
+		var prevID string
+		var prev *table.Table
+		if i > 0 {
+			prevID, prev = ids[i-1], out[i-1]
 		}
-		if i > 0 && ds != nil {
-			if cs, err := ds.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == ids[i-1] {
-				if t, err := diff.ApplyChangeSet(out[i-1], cs); err == nil {
-					// Applied tables carry the same tamper-evidence as
-					// checkouts: verify against the content id before
-					// trusting them (a failure falls through to Checkout,
-					// which verifies the raw bytes itself), and admit the
-					// verified table into the source's cache so the next
-					// walk takes the warm clone path.
-					if sa == nil || sa.AdmitSnapshot(id, t) == nil {
-						out[i] = t
-						continue
-					}
-				}
-			}
-		}
-		t, err := src.Checkout(id)
+		t, err := MaterializeStep(src, prevID, prev, id)
 		if err != nil {
-			return nil, fmt.Errorf("history: version %s: %w", id, err)
+			return nil, err
 		}
 		out[i] = t
 	}
 	return out, nil
 }
 
-// SummarizeChain materializes the given version ids in order through src —
-// delta-natively when src is a DeltaSource: one checkout at the chain root,
-// then step-by-step application of each version's ChangeSet — and summarizes
-// every changed numeric attribute of every consecutive pair via
-// SummarizeAll. It is the store-backed batch timeline: ids usually come from
-// Store.Chain(head).
-func SummarizeChain(src CheckoutSource, ids []string, base core.Options) (*MultiTimeline, error) {
-	return SummarizeChainContext(context.Background(), src, ids, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeChainContext
+// MaterializeStep materializes one version delta-natively when possible:
+// the cached-table path first, then applying id's ChangeSet to prev (the
+// already materialized snapshot of prevID, id's parent; nil at a chain
+// root), then a plain checkout.
+func MaterializeStep(src CheckoutSource, prevID string, prev *table.Table, id string) (*table.Table, error) {
+	if cc, ok := src.(CachedCheckoutSource); ok {
+		if t, ok := cc.CheckoutCached(id); ok {
+			return t, nil
+		}
+	}
+	if ds, ok := src.(DeltaSource); ok && prev != nil {
+		if cs, err := ds.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == prevID {
+			if t, err := diff.ApplyChangeSet(prev, cs); err == nil {
+				// Applied tables carry the same tamper-evidence as
+				// checkouts: verify against the content id before trusting
+				// them (a failure falls through to Checkout, which verifies
+				// the raw bytes itself), and admit the verified table into
+				// the source's cache so the next walk takes the warm clone
+				// path.
+				sa, _ := src.(SnapshotAdmitter)
+				if sa == nil || sa.AdmitSnapshot(id, t) == nil {
+					return t, nil
+				}
+			}
+		}
+	}
+	t, err := src.Checkout(id)
+	if err != nil {
+		return nil, fmt.Errorf("history: version %s: %w", id, err)
+	}
+	return t, nil
 }
 
-// SummarizeChainContext is SummarizeChain bounded by ctx: both the chain
-// materialization and the step pool observe cancellation.
-func SummarizeChainContext(ctx context.Context, src CheckoutSource, ids []string, base core.Options) (*MultiTimeline, error) {
+// SummarizeChain materializes the given version ids in order through src —
+// delta-natively when src is a DeltaSource: one checkout at the chain root,
+// then step-by-step application of each version's ChangeSet — and
+// summarizes the chain exactly as SummarizeAll does. It is the store-backed
+// batch timeline: ids usually come from Store.Chain(head).
+func SummarizeChain(src CheckoutSource, ids []string, base core.Options) (*MultiTimeline, error) {
+	return SummarizeChainContext(context.Background(), src, ids, base, nil) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeChainContext
+}
+
+// SummarizeChainContext is SummarizeChain bounded by ctx (both the chain
+// materialization and the step pool observe cancellation), with every
+// engine run going through memo under its step's version ids; a nil memo
+// runs the engine directly.
+func SummarizeChainContext(ctx context.Context, src CheckoutSource, ids []string, base core.Options, memo Memo) (*MultiTimeline, error) {
 	if len(ids) < 2 {
 		return nil, fmt.Errorf("history: need at least 2 versions, got %d", len(ids))
 	}
@@ -240,22 +252,85 @@ func SummarizeChainContext(ctx context.Context, src CheckoutSource, ids []string
 	if err != nil {
 		return nil, err
 	}
-	return SummarizeAllContext(ctx, snapshots, base)
+	results, err := walk(ctx, snapshots, ids, base, memo)
+	if err != nil {
+		return nil, err
+	}
+	return mergeSteps(snapshots[0], results, base.Target), nil
 }
 
-// forEachStep runs fn for every step index on a pool bounded by workers
-// (≤0 means GOMAXPROCS, clamped to the step count) and returns the earliest
-// failed step's error — deterministic regardless of scheduling. The engine
-// options handed to fn have their internal candidate-worker count collapsed
-// to 1 whenever the step pool itself is parallel, so total concurrency
-// stays at the configured bound instead of squaring it (results are
-// identical either way; the engine is worker-count-independent).
+// walk runs summarizeStep over every consecutive pair of snapshots on the
+// bounded step pool and returns the per-step results in step order. ids,
+// when non-nil, are the snapshots' version ids, handed to memo with each
+// run. An explicit base.Target is validated against the root snapshot
+// first, so a misspelled or categorical target reads as an error rather
+// than as a plausible all-no-change timeline. ctx is observed at the pool
+// gate and again before each engine run.
+func walk(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options, memo Memo) ([]*core.MultiResult, error) {
+	if len(snapshots) < 2 {
+		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
+	}
+	if base.Target != "" {
+		if err := checkTarget(snapshots[0], base.Target); err != nil {
+			return nil, err
+		}
+	}
+	guarded := func(from, to string, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error) {
+		checked := func() ([]core.Ranked, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return run()
+		}
+		if memo == nil {
+			return checked()
+		}
+		return memo(from, to, opts, checked)
+	}
+	results := make([]*core.MultiResult, len(snapshots)-1)
+	err := forEachStep(ctx, len(results), base, func(i int, engineBase core.Options) error {
+		var from, to string
+		if ids != nil {
+			from, to = ids[i], ids[i+1]
+		}
+		var err error
+		results[i], err = summarizeStep(snapshots[i], snapshots[i+1], from, to, engineBase, guarded)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// checkTarget validates an explicit walk target against the root snapshot:
+// it must name a numeric attribute that is not part of the key.
+func checkTarget(root *table.Table, target string) error {
+	col, err := root.Column(target)
+	if err != nil || slices.Contains(root.Key(), target) {
+		return fmt.Errorf("unknown target attribute %q", target)
+	}
+	if !col.Type.Numeric() {
+		return fmt.Errorf("target attribute %q is not numeric (categorical changes cannot be summarized)", target)
+	}
+	return nil
+}
+
+// forEachStep runs fn for every step index on a pool bounded by
+// base.Workers (≤0 means GOMAXPROCS, clamped to the step count) and returns
+// the earliest failed step's error — deterministic regardless of
+// scheduling. The engine options handed to fn are base with the
+// candidate-worker count collapsed to 1 whenever the step pool itself is
+// parallel, so total concurrency stays at the configured bound instead of
+// squaring it. This only bounds concurrency: the engine's rankings are the
+// same at every worker count.
 //
 // Cancellation is observed at the pool gate: a step that has not yet
 // acquired a worker slot when ctx ends records the context's error instead
 // of running. A context error outranks step errors in the return value —
 // once the caller has given up, per-step failures are noise.
-func forEachStep(ctx context.Context, steps, workers int, fn func(i int, engineBase core.Options) error, base core.Options) error {
+func forEachStep(ctx context.Context, steps int, base core.Options, fn func(i int, engineBase core.Options) error) error {
+	workers := base.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -299,105 +374,55 @@ func forEachStep(ctx context.Context, steps, workers int, fn func(i int, engineB
 	return nil
 }
 
-// SummarizeTarget summarizes one attribute across the chain on the same
-// bounded step pool as SummarizeAll, skipping the engine entirely on steps
-// where the target did not move. Single-target steps need no pair context —
-// with one run per pair there is nothing to amortize — so each step runs
-// the classic aligned engine. Results are bit-identical to Summarize
-// (the sequential single-target path) except that unchanged steps carry no
-// Ranked entry at all rather than the engine's explicit no-change result.
+// SummarizeTarget summarizes one attribute across the chain: SummarizeAll
+// with base.Target set, so the target is validated up front and steps where
+// it did not move run no engine (they read NoChange with no Ranked entry,
+// rather than the engine's explicit no-change result).
 func SummarizeTarget(snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
-	return SummarizeTargetContext(context.Background(), snapshots, target, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeTargetContext
-}
-
-// SummarizeTargetContext is SummarizeTarget bounded by ctx (see
-// SummarizeAllContext for the cancellation semantics).
-func SummarizeTargetContext(ctx context.Context, snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
-	if len(snapshots) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
-	}
-	// Validate the target up front: the engine only runs on steps where it
-	// moved, and a categorical or misspelled target that never moves must
-	// not read as a plausible all-no-change timeline (the serve layer
-	// rejects the same request with a 400).
-	col, err := snapshots[0].Column(target)
+	base.Target = target
+	mt, err := SummarizeAll(snapshots, base)
 	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	if !col.Type.Numeric() {
-		return nil, fmt.Errorf("history: target attribute %q is %s, need numeric", target, col.Type)
-	}
-	steps := len(snapshots) - 1
-	tl := &Timeline{Target: target, Steps: make([]Step, steps)}
-	tol := base.ChangeTol
-	if tol == 0 {
-		tol = 1e-9
-	}
-	if err := forEachStep(ctx, steps, base.Workers, func(i int, engineBase core.Options) error {
-		var err error
-		tl.Steps[i], err = summarizeTargetStep(snapshots[i], snapshots[i+1], i, target, tol, engineBase)
-		return err
-	}, base); err != nil {
 		return nil, err
 	}
-	return tl, nil
+	return mt.Timelines[target], nil
 }
 
-// summarizeTargetStep runs one pair for one target, short-circuiting to a
-// NoChange step when the target did not move.
-func summarizeTargetStep(src, tgt *table.Table, i int, target string, tol float64, base core.Options) (Step, error) {
-	step := Step{From: i, To: i + 1}
+// summarizeStep is the one per-step function behind every timeline walk and
+// maintainer: it aligns the pair, picks its targets (base.Target when set,
+// otherwise every changed numeric attribute, with the skip reasons of the
+// categorical ones; see core.SummarizeAllWith) and runs each target's
+// engine through memo under the pair's version ids (a nil memo runs it
+// directly). The pair's PairContext — narrowed to an explicit condition
+// pool — is built on the step's first engine run, so a step whose every
+// target the memo answers builds none.
+func summarizeStep(src, tgt *table.Table, from, to string, base core.Options, memo Memo) (*core.MultiResult, error) {
 	a, err := diff.Align(src, tgt)
 	if err != nil {
-		return step, err
+		return nil, err
 	}
-	mask, err := a.ChangedMask(target, tol)
-	if err != nil {
-		return step, err
-	}
-	moved := false
-	for _, ch := range mask {
-		if ch {
-			moved = true
-			break
+	var pc *core.PairContext
+	return core.SummarizeAllWith(a, base, func(opts core.Options) ([]core.Ranked, error) {
+		run := func() ([]core.Ranked, error) {
+			if pc == nil {
+				var err error
+				if pc, err = core.NewPairContext(a, base.CondAttrs...); err != nil {
+					return nil, err
+				}
+			}
+			return pc.Summarize(opts)
 		}
-	}
-	if !moved {
-		step.NoChange = true
-		return step, nil
-	}
-	opts := base
-	opts.Target = target
-	ranked, err := core.SummarizeAligned(a, opts)
-	if err != nil {
-		return step, err
-	}
-	step.Ranked = ranked
-	if len(ranked) > 0 && ranked[0].NoChange {
-		step.NoChange = true
-	}
-	return step, nil
-}
-
-// summarizeStep aligns one consecutive pair and summarizes all its changed
-// numeric attributes through a shared pair context. An explicit condition
-// pool narrows the context's split index to just those attributes.
-func summarizeStep(src, tgt *table.Table, base core.Options) (*core.MultiResult, error) {
-	a, err := diff.Align(src, tgt)
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := core.NewPairContext(a, base.CondAttrs...)
-	if err != nil {
-		return nil, err
-	}
-	return core.SummarizeAllWith(ctx, base)
+		if memo == nil {
+			return run()
+		}
+		return memo(from, to, opts, run)
+	})
 }
 
 // mergeSteps assembles per-attribute timelines from the per-step results.
 // Attributes follow schema order; an attribute absent from a step's result
-// (it did not change there) becomes a NoChange step.
-func mergeSteps(first *table.Table, results []*core.MultiResult) *MultiTimeline {
+// (it did not change there) becomes a NoChange step. An explicit target has
+// a timeline even when it never changed.
+func mergeSteps(first *table.Table, results []*core.MultiResult, target string) *MultiTimeline {
 	mt := &MultiTimeline{
 		Timelines: map[string]*Timeline{},
 		Skipped:   map[string]string{},
@@ -405,7 +430,7 @@ func mergeSteps(first *table.Table, results []*core.MultiResult) *MultiTimeline 
 	}
 	for _, f := range first.Schema() {
 		attr := f.Name
-		active := false
+		active := attr == target
 		for _, res := range results {
 			if _, ok := res.ByAttr[attr]; ok {
 				active = true

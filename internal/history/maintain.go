@@ -4,11 +4,10 @@
 // answering under updates" idea (Berkholz/Keppeler/Schweikardt,
 // arXiv:1702.08764) applied to change summarization. Extension work is
 // O(one step) regardless of chain length, and the maintained MultiTimeline
-// is bit-identical to a from-scratch SummarizeAll rebuild of any multi-step
-// chain: both paths run the same deterministic engine on the same pairs in
-// the same canonical Workers=1 form and merge with the same mergeSteps.
-// (A 1-step SummarizeAll with Workers unset runs the engine parallel, whose
-// tie order inside a summary can differ; pass Workers=1 when comparing.)
+// is bit-identical to a from-scratch SummarizeAll rebuild of the same
+// chain: both paths run the same per-step function on the same pairs and
+// merge with the same mergeSteps, and the engine's rankings do not depend
+// on how many workers computed them.
 
 package history
 
@@ -17,7 +16,6 @@ import (
 	"fmt"
 
 	"charles/internal/core"
-	"charles/internal/diff"
 	"charles/internal/table"
 )
 
@@ -26,6 +24,7 @@ import (
 // access (the serve layer holds one per shard behind a mutex).
 type TimelineMaintainer struct {
 	base    core.Options
+	memo    Memo
 	ids     []string // version ids, root → head (len == len(results)+1)
 	first   *table.Table
 	last    *table.Table
@@ -34,41 +33,27 @@ type TimelineMaintainer struct {
 
 // NewTimelineMaintainer summarizes the seed chain and returns a maintainer
 // positioned at its head. snapshots and ids must be parallel (root → head)
-// with at least 2 entries. The snapshots are retained only at the
-// endpoints: first (for schema-ordered merging) and last (the pair source
-// for the next Extend).
-func NewTimelineMaintainer(snapshots []*table.Table, ids []string, base core.Options) (*TimelineMaintainer, error) {
-	return NewTimelineMaintainerContext(context.Background(), snapshots, ids, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls NewTimelineMaintainerContext
+// with at least 2 entries. Every engine run of the seed and of later
+// extensions goes through memo (nil runs the engine directly). The
+// snapshots are retained only at the endpoints: first (for schema-ordered
+// merging) and last (the pair source for the next Extend).
+func NewTimelineMaintainer(snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
+	return NewTimelineMaintainerContext(context.Background(), snapshots, ids, base, memo) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls NewTimelineMaintainerContext
 }
 
 // NewTimelineMaintainerContext is NewTimelineMaintainer bounded by ctx (the
-// seed walk runs on the same bounded step pool as SummarizeAllContext).
-func NewTimelineMaintainerContext(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options) (*TimelineMaintainer, error) {
+// seed is the same walk as SummarizeAllContext's).
+func NewTimelineMaintainerContext(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
 	if len(snapshots) != len(ids) {
 		return nil, fmt.Errorf("history: %d snapshots but %d ids", len(snapshots), len(ids))
 	}
-	if len(snapshots) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
-	}
-	steps := len(snapshots) - 1
-	results := make([]*core.MultiResult, steps)
-	if err := forEachStep(ctx, steps, base.Workers, func(i int, engineBase core.Options) error {
-		// Always run the engine in its Workers=1 form — the canonical form
-		// forEachStep collapses to on every multi-step chain. The engine's
-		// rankings are semantically worker-count-independent but not
-		// bit-stable across worker counts (tie order inside a summary can
-		// differ), and the maintainer's contract is bit-identity between an
-		// extended timeline and a ≥2-step rebuild, so every step must be
-		// produced in the same form regardless of when it was computed.
-		engineBase.Workers = 1
-		var err error
-		results[i], err = summarizeStep(snapshots[i], snapshots[i+1], engineBase)
-		return err
-	}, base); err != nil {
+	results, err := walk(ctx, snapshots, ids, base, memo)
+	if err != nil {
 		return nil, err
 	}
 	return &TimelineMaintainer{
 		base:    base,
+		memo:    memo,
 		ids:     append([]string(nil), ids...),
 		first:   snapshots[0],
 		last:    snapshots[len(snapshots)-1],
@@ -93,12 +78,7 @@ func (m *TimelineMaintainer) Versions() []string {
 // rejects) the maintainer is left unchanged so the caller can fall back to
 // a full rebuild over the new chain.
 func (m *TimelineMaintainer) Extend(id string, next *table.Table) error {
-	// Same canonical Workers=1 engine form as the seed build (see
-	// NewTimelineMaintainerContext): the one new pair must be bit-identical
-	// to what a from-scratch multi-step rebuild would compute for it.
-	eb := m.base
-	eb.Workers = 1
-	res, err := summarizeStep(m.last, next, eb)
+	res, err := summarizeStep(m.last, next, m.Head(), id, m.base, m.memo)
 	if err != nil {
 		return fmt.Errorf("history: extend %s→%s: %w", m.Head(), id, err)
 	}
@@ -124,7 +104,7 @@ func (m *TimelineMaintainer) ExtendFromSource(src CheckoutSource, id string) err
 // mergeSteps that SummarizeAll uses, over the same per-step results, so the
 // output is bit-identical to a from-scratch rebuild of the same chain.
 func (m *TimelineMaintainer) Timeline() *MultiTimeline {
-	return mergeSteps(m.first, m.results)
+	return mergeSteps(m.first, m.results, m.base.Target)
 }
 
 // TimelineAt assembles the MultiTimeline for a prefix of the maintained
@@ -138,7 +118,7 @@ func (m *TimelineMaintainer) TimelineAt(id string) (*MultiTimeline, []string, bo
 			if i == 0 {
 				return nil, nil, false
 			}
-			return mergeSteps(m.first, m.results[:i]), append([]string(nil), m.ids[:i+1]...), true
+			return mergeSteps(m.first, m.results[:i], m.base.Target), append([]string(nil), m.ids[:i+1]...), true
 		}
 	}
 	return nil, nil, false
@@ -150,37 +130,10 @@ func (m *TimelineMaintainer) TimelineAt(id string) (*MultiTimeline, []string, bo
 func (m *TimelineMaintainer) Fork() *TimelineMaintainer {
 	return &TimelineMaintainer{
 		base:    m.base,
+		memo:    m.memo,
 		ids:     append([]string(nil), m.ids...),
 		first:   m.first,
 		last:    m.last,
 		results: append([]*core.MultiResult(nil), m.results...),
 	}
-}
-
-// MaterializeStep materializes one version delta-natively when possible:
-// the cached-table path first, then applying id's ChangeSet to prev (the
-// already materialized snapshot of prevID, id's parent), then a plain
-// checkout. It is the single-step form of MaterializeChainContext's loop
-// body, with the same verify-before-trust discipline on applied deltas.
-func MaterializeStep(src CheckoutSource, prevID string, prev *table.Table, id string) (*table.Table, error) {
-	if cc, ok := src.(CachedCheckoutSource); ok {
-		if t, ok := cc.CheckoutCached(id); ok {
-			return t, nil
-		}
-	}
-	if ds, ok := src.(DeltaSource); ok && prev != nil {
-		if cs, err := ds.DeltaOps(id); err == nil && !cs.Materialized && cs.Base == prevID {
-			if t, err := diff.ApplyChangeSet(prev, cs); err == nil {
-				sa, _ := src.(SnapshotAdmitter)
-				if sa == nil || sa.AdmitSnapshot(id, t) == nil {
-					return t, nil
-				}
-			}
-		}
-	}
-	t, err := src.Checkout(id)
-	if err != nil {
-		return nil, fmt.Errorf("history: version %s: %w", id, err)
-	}
-	return t, nil
 }

@@ -13,15 +13,12 @@ import (
 	"charles/internal/table"
 )
 
-// maintainBase is the option set every maintainer test runs under.
-// Workers=1 makes SummarizeAll emit the engine's canonical deterministic
-// form even on 1-step chains (multi-step chains always collapse to it; see
-// forEachStep), so maintained and rebuilt timelines can be compared
-// bit-for-bit at every prefix length.
+// maintainBase is the option set every maintainer test runs under: the
+// engine defaults, with Workers left to the caller. The engine's rankings
+// do not depend on its worker count, so maintained and rebuilt timelines
+// compare bit-for-bit whatever each side ran at.
 func maintainBase() core.Options {
-	base := core.DefaultOptions("")
-	base.Workers = 1
-	return base
+	return core.DefaultOptions("")
 }
 
 // renderFull serializes every bit of a MultiTimeline the engine produces —
@@ -133,10 +130,19 @@ func commitMutateChain(t *testing.T, cfg gen.FuzzConfig) (*store.Store, []string
 // at every prefix length, a MultiTimeline bit-identical to a from-scratch
 // SummarizeAll over the same snapshots.
 func TestTimelineMaintainerDifferential(t *testing.T) {
-	base := maintainBase()
+	for _, workers := range []int{0, 1} {
+		base := maintainBase()
+		base.Workers = workers
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			maintainerDifferential(t, base)
+		})
+	}
+}
+
+func maintainerDifferential(t *testing.T, base core.Options) {
 	for seed := int64(1); seed <= 5; seed++ {
 		st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 20, Steps: 5, Seed: seed})
-		m, err := NewTimelineMaintainer(mats[:2], ids[:2], base)
+		m, err := NewTimelineMaintainer(mats[:2], ids[:2], base, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -160,13 +166,64 @@ func TestTimelineMaintainerDifferential(t *testing.T) {
 	}
 }
 
+// TestTimelineMaintainerOneStep pins the maintainer against rebuilds that
+// run the engine at other worker counts: a 1-step SummarizeAll with Workers
+// unset gives its one engine pass every core, and the maintainer's seed
+// must match it bit for bit — as must an extension, whose one new pair also
+// runs at full width, against the 2-step rebuild (single-threaded engine
+// runs on the step pool).
+// gen.Chain has no NaN constants, so whole structures compare with
+// reflect.DeepEqual: a differing zero-coefficient feature or provenance
+// shows even where the rendering would not.
+func TestTimelineMaintainerOneStep(t *testing.T) {
+	base := maintainBase()
+	for _, n := range []int{60, 100} {
+		for seed := int64(1); seed <= 4; seed++ {
+			snaps, err := gen.Chain(gen.ChainConfig{N: n, Steps: 2, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := []string{"v0", "v1", "v2"}
+			m, err := NewTimelineMaintainer(snaps[:2], ids[:2], base, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := SummarizeAll(snaps[:2], base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(m.Timeline(), want) {
+				t.Fatalf("n=%d seed=%d: 1-step maintainer differs from SummarizeAll", n, seed)
+			}
+			if err := m.Extend(ids[2], snaps[2]); err != nil {
+				t.Fatal(err)
+			}
+			if want, err = SummarizeAll(snaps, base); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(m.Timeline(), want) {
+				t.Fatalf("n=%d seed=%d: extended maintainer differs from SummarizeAll", n, seed)
+			}
+		}
+	}
+}
+
 // TestTimelineMaintainerPrefixAnswers pins TimelineAt: a prefix answer must
 // equal the rebuild of that prefix, the root has no timeline, and unknown
 // ids report !ok.
 func TestTimelineMaintainerPrefixAnswers(t *testing.T) {
-	base := maintainBase()
+	for _, workers := range []int{0, 1} {
+		base := maintainBase()
+		base.Workers = workers
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			maintainerPrefixAnswers(t, base)
+		})
+	}
+}
+
+func maintainerPrefixAnswers(t *testing.T, base core.Options) {
 	_, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 7})
-	m, err := NewTimelineMaintainer(mats, ids, base)
+	m, err := NewTimelineMaintainer(mats, ids, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +258,7 @@ func TestTimelineMaintainerPrefixAnswers(t *testing.T) {
 func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 	base := maintainBase()
 	st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 3, Seed: 9})
-	m, err := NewTimelineMaintainer(mats, ids, base)
+	m, err := NewTimelineMaintainer(mats, ids, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +294,7 @@ func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := NewTimelineMaintainer(suf, sufIDs, base)
+	rebuilt, err := NewTimelineMaintainer(suf, sufIDs, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +315,7 @@ func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 func TestTimelineMaintainerForkIsolation(t *testing.T) {
 	base := maintainBase()
 	st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 11})
-	m, err := NewTimelineMaintainer(mats[:len(mats)-1], ids[:len(ids)-1], base)
+	m, err := NewTimelineMaintainer(mats[:len(mats)-1], ids[:len(ids)-1], base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +336,10 @@ func TestTimelineMaintainerForkIsolation(t *testing.T) {
 func TestTimelineMaintainerValidation(t *testing.T) {
 	base := maintainBase()
 	d1, d2 := gen.Toy()
-	if _, err := NewTimelineMaintainer([]*table.Table{d1, d2}, []string{"only-one"}, base); err == nil {
+	if _, err := NewTimelineMaintainer([]*table.Table{d1, d2}, []string{"only-one"}, base, nil); err == nil {
 		t.Error("mismatched snapshots/ids accepted")
 	}
-	if _, err := NewTimelineMaintainer([]*table.Table{d1}, []string{"a"}, base); err == nil {
+	if _, err := NewTimelineMaintainer([]*table.Table{d1}, []string{"a"}, base, nil); err == nil {
 		t.Error("single-snapshot seed accepted")
 	}
 }

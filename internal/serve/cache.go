@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"sync"
 )
@@ -22,8 +23,9 @@ type Stats struct {
 
 // resultCache is a fixed-capacity LRU with singleflight deduplication:
 // concurrent Do calls for the same key block on one computation instead of
-// racing the engine N times. Errors are returned to every waiter but never
-// cached, so a transient failure does not poison the key.
+// racing the engine N times. Errors are never cached, so a transient
+// failure does not poison the key; they reach every waiter except a
+// leader's context error, after which each waiter computes for itself.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -73,9 +75,14 @@ func (c *resultCache) Do(key string, compute func() (any, error)) (val any, hit 
 	}
 	c.misses++
 	if cl, ok := c.calls[key]; ok {
-		// Join the in-flight computation.
+		// Join the in-flight computation. A leader that failed on its own
+		// request's cancellation or deadline says nothing about this
+		// caller's: compute the value afresh rather than inherit the error.
 		c.mu.Unlock()
 		<-cl.done
+		if errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded) {
+			return c.Do(key, compute)
+		}
 		return cl.val, false, cl.err
 	}
 	cl := &call{done: make(chan struct{})}

@@ -212,6 +212,91 @@ func TestRequestTimeoutReturns503(t *testing.T) {
 	}
 }
 
+// TestJoinerOfCancelledLeaderRecomputes pins the single-flight contract
+// under cancellation: when the first of two identical concurrent
+// explicit-head /timeline walks disconnects mid-step, the second — joined
+// to the first's in-flight step computation — still answers 200 instead of
+// inheriting the leader's cancellation.
+func TestJoinerOfCancelledLeaderRecomputes(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitLineage(t, st, 2)
+	body := fmt.Sprintf(`{"head":%q}`, ids[1])
+	srv := NewServerWith(st, Config{})
+	leaderCtx := make(chan context.Context, 1)
+	srv.testDelay = func(r *http.Request) {
+		select {
+		case leaderCtx <- r.Context():
+		default:
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unstall := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unstall()
+	var hooks atomic.Int64
+	srv.stepHook = func() {
+		if hooks.Add(1) == 1 {
+			close(entered)
+			<-release // stall the leader's one step
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/timeline", strings.NewReader(body))
+		if err != nil {
+			leaderErr <- err
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderErr <- err
+	}()
+	<-entered
+	serverCtx := <-leaderCtx
+
+	joinerStatus := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/timeline", "application/json", strings.NewReader(body))
+		if err != nil {
+			joinerStatus <- 0
+			return
+		}
+		resp.Body.Close()
+		joinerStatus <- resp.StatusCode
+	}()
+	// One miss for the leader's step, one for the joiner's.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().Misses < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never joined the in-flight step")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-leaderErr; err == nil {
+		t.Fatal("cancelled leader reported success")
+	}
+	select {
+	case <-serverCtx.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never observed the leader's disconnect")
+	}
+	unstall()
+	if code := <-joinerStatus; code != http.StatusOK {
+		t.Fatalf("joined request answered %d, want 200", code)
+	}
+}
+
 // TestGracefulDrainUnderLoad is the -race soak of limiter + drain: a fleet
 // of clients hammers a small server (low MaxInFlight, so shedding happens
 // constantly) while SIGTERM-equivalent cancellation lands mid-flight. Every

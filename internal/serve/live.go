@@ -24,7 +24,6 @@ import (
 	"charles/internal/core"
 	"charles/internal/history"
 	"charles/internal/store"
-	"charles/internal/table"
 )
 
 // liveEventRing bounds the per-shard buffered watch events a late or
@@ -43,7 +42,7 @@ const watcherBuffer = 8
 const watchPollTimeout = 25 * time.Second
 
 // errTimelineTooShort is the shared too-few-versions error of both the
-// legacy walk and the live maintainer path.
+// explicit-head walk and the live maintainer path.
 var errTimelineTooShort = errors.New("timeline needs a lineage of at least 2 versions")
 
 // watchTargetJSON is one attribute's state after the newest step: whether
@@ -178,13 +177,13 @@ func (s *Server) onCommit(tenant, dataset string, v *store.Version) {
 		}
 		defer release()
 	}
-	mode := ls.applyCommit(st, v)
+	mode := s.applyCommit(ls, st, v)
 	s.metrics.maintenance.With(key, mode).Inc()
 }
 
 // applyCommit advances the shard's maintained timeline for one commit and
 // publishes the resulting watch event. Returns the maintenance mode.
-func (ls *liveShard) applyCommit(st *store.Store, v *store.Version) string {
+func (s *Server) applyCommit(ls *liveShard, st *store.Store, v *store.Version) string {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.head == v.ID {
@@ -207,7 +206,7 @@ func (ls *liveShard) applyCommit(st *store.Store, v *store.Version) string {
 		// fall through to the rebuild.
 	}
 	if mode == "" {
-		if m, err := rebuildMaintainer(st, v.ID); err == nil {
+		if m, err := s.rebuildMaintainer(st, ls.key+"|", v.ID); err == nil {
 			ls.maint, mode = m, "rebuild"
 		} else {
 			ls.maint, mode = nil, "skip"
@@ -218,25 +217,19 @@ func (ls *liveShard) applyCommit(st *store.Store, v *store.Version) string {
 	return mode
 }
 
-// rebuildMaintainer builds a maintainer from scratch over v's full chain —
-// the fallback when the one-step extension cannot apply.
-func rebuildMaintainer(st *store.Store, head string) (*history.TimelineMaintainer, error) {
-	chain, err := st.Chain(head)
+// rebuildMaintainer builds a maintainer from scratch over head's full chain
+// — the fallback when the one-step extension cannot apply. The commit pump
+// has no request context to bound it with.
+func (s *Server) rebuildMaintainer(st *store.Store, prefix, head string) (*history.TimelineMaintainer, error) {
+	ids, err := chainIDs(st, head)
 	if err != nil {
 		return nil, err
-	}
-	if len(chain) < 2 {
-		return nil, errTimelineTooShort
-	}
-	ids := make([]string, len(chain))
-	for i, v := range chain {
-		ids[i] = v.ID
 	}
 	mats, err := history.MaterializeChain(st, ids)
 	if err != nil {
 		return nil, err
 	}
-	return history.NewTimelineMaintainer(mats, ids, core.DefaultOptions(""))
+	return history.NewTimelineMaintainer(mats, ids, core.DefaultOptions(""), s.stepMemo(prefix, nil))
 }
 
 // publishLocked (caller holds ls.mu) appends one event to the ring and fans
@@ -469,11 +462,9 @@ func (s *Server) handleLiveTimeline(sh *shardRef, w http.ResponseWriter, r *http
 		if err != nil {
 			return nil, err
 		}
-		// Seed the per-step LRU under the same keys POST /summarize uses,
-		// so a live timeline warms pair questions exactly like the legacy
-		// walk did (and vice versa: nothing here re-runs warm pairs).
-		s.seedStepCache(sh, ids, mt)
-		return encodeLiveTimeline(hv.ID, ids, mt), nil
+		resp := encodeTimeline(ids, mt, nil)
+		resp.Live = true
+		return resp, nil
 	})
 	if err != nil {
 		writeError(w, err)
@@ -485,10 +476,11 @@ func (s *Server) handleLiveTimeline(sh *shardRef, w http.ResponseWriter, r *http
 }
 
 // liveTimelineAt returns the maintained MultiTimeline for head, building or
-// rebuilding the shard's maintainer when needed. A maintainer that has
-// already advanced past head (a commit raced the request) answers from its
-// prefix, so the reader still gets a consistent timeline for the head it
-// resolved.
+// rebuilding the shard's maintainer when needed, every step through the
+// result LRU (which a build therefore also warms for pair questions). A
+// maintainer that has already advanced past head (a commit raced the
+// request) answers from its prefix, so the reader still gets a consistent
+// timeline for the head it resolved.
 func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard, head string) (*history.MultiTimeline, []string, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -500,113 +492,21 @@ func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard
 			return mt, ids, nil
 		}
 	}
-	chain, err := sh.st.Chain(head)
+	ids, err := chainIDs(sh.st, head)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(chain) < 2 {
-		return nil, nil, errTimelineTooShort
-	}
-	ids := make([]string, len(chain))
-	for i, v := range chain {
-		ids[i] = v.ID
 	}
 	mats, err := history.MaterializeChainContext(ctx, sh.st, ids)
 	if err != nil {
 		return nil, nil, err
 	}
-	base := core.DefaultOptions("")
-	var m *history.TimelineMaintainer
-	if s.stepHook == nil {
-		m, err = history.NewTimelineMaintainerContext(ctx, mats, ids, base)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		// Test seam: build step by step so the hook observes (and can stall)
-		// each engine step, mirroring the legacy walk's per-step hook.
-		m, err = seededMaintainer(ctx, s.stepHook, mats, ids, base)
-		if err != nil {
-			return nil, nil, err
-		}
+	m, err := history.NewTimelineMaintainerContext(ctx, mats, ids, core.DefaultOptions(""), s.stepMemo(sh.cacheKeyPrefix(), nil))
+	if err != nil {
+		return nil, nil, err
 	}
 	ls.maint = m
 	if ls.head == "" {
 		ls.head = head
 	}
 	return m.Timeline(), m.Versions(), nil
-}
-
-// seededMaintainer builds a maintainer one step at a time, invoking hook
-// before each engine step and honoring ctx between steps.
-func seededMaintainer(ctx context.Context, hook func(), mats []*table.Table, ids []string, base core.Options) (*history.TimelineMaintainer, error) {
-	hook()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m, err := history.NewTimelineMaintainerContext(ctx, mats[:2], ids[:2], base)
-	if err != nil {
-		return nil, err
-	}
-	for i := 2; i < len(ids); i++ {
-		hook()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := m.Extend(ids[i], mats[i]); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// seedStepCache inserts the maintainer's per-step rankings into the result
-// LRU under the (from, to, options-fingerprint) keys the summarize and
-// legacy timeline paths use. Do is a hit for already-present keys, so
-// repeated seeding is cheap and never recomputes.
-func (s *Server) seedStepCache(sh *shardRef, ids []string, mt *history.MultiTimeline) {
-	for _, attr := range mt.Attrs {
-		fp := core.DefaultOptions(attr).Fingerprint()
-		tl := mt.Timelines[attr]
-		for _, hs := range tl.Steps {
-			if len(hs.Ranked) == 0 {
-				continue
-			}
-			ranked := hs.Ranked
-			key := sh.cacheKeyPrefix() + ids[hs.From] + "|" + ids[hs.To] + "|" + fp
-			_, _, _ = s.cache.Do(key, func() (any, error) { return ranked, nil })
-		}
-	}
-}
-
-// encodeLiveTimeline renders a maintained MultiTimeline as the wire
-// timelineResponse. Semantically equivalent to the legacy walk's response
-// for the same chain (same targets, steps, no-change flags, drifts, skip
-// reasons); per-step Cached flags are not populated — the whole response is
-// cached as a unit instead.
-func encodeLiveTimeline(head string, ids []string, mt *history.MultiTimeline) timelineResponse {
-	resp := timelineResponse{
-		Head: head, Versions: ids, Steps: mt.Steps,
-		Skipped: mt.Skipped, Live: true,
-	}
-	for _, attr := range mt.Attrs {
-		tl := mt.Timelines[attr]
-		tj := timelineTargetJSON{Target: attr}
-		for _, hs := range tl.Steps {
-			sj := timelineStepJSON{From: ids[hs.From], To: ids[hs.To], NoChange: hs.NoChange}
-			if len(hs.Ranked) > 0 {
-				sj.Ranked = EncodeRanked(hs.Ranked)
-			}
-			tj.Steps = append(tj.Steps, sj)
-		}
-		for _, d := range tl.Drifts() {
-			tj.Drifts = append(tj.Drifts, driftJSON{
-				StepA: d.StepA, StepB: d.StepB,
-				SamePartitioning: d.SamePartitioning,
-				Note:             d.Note,
-			})
-		}
-		resp.Targets = append(resp.Targets, tj)
-	}
-	return resp
 }

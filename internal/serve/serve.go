@@ -137,7 +137,8 @@ type Server struct {
 	drainOnce sync.Once
 
 	// Test seams (set only from package tests): testDelay runs after a
-	// limiter slot is held, stepHook inside each timeline step computation.
+	// limiter slot is held, stepHook on every timeline engine run the result
+	// LRU misses (walks, live builds and commit extensions alike).
 	testDelay func(*http.Request)
 	stepHook  func()
 
@@ -645,13 +646,17 @@ type changeJSON struct {
 	New  string `json:"new"`
 }
 
+// diffTol is GET /diff's change tolerance: the engine's default ChangeTol,
+// so a diff reports exactly the changes a summarize or timeline sees.
+const diffTol = 1e-9
+
 func (s *Server) handleDiff(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	from, to := r.URL.Query().Get("from"), r.URL.Query().Get("to")
 	if from == "" || to == "" {
 		writeError(w, errors.New("diff needs from and to"))
 		return
 	}
-	res, native, err := sh.st.DiffResult(from, to, timelineTol)
+	res, native, err := sh.st.DiffResult(from, to, diffTol)
 	if err != nil {
 		writeError(w, err)
 		return

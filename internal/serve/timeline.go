@@ -2,15 +2,13 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 
 	"charles/internal/core"
-	"charles/internal/diff"
 	"charles/internal/history"
+	"charles/internal/store"
 )
 
 // timelineRequest is the POST /timeline body. Head defaults to the most
@@ -63,16 +61,14 @@ type timelineResponse struct {
 	Skipped  map[string]string    `json:"skipped,omitempty"`
 }
 
-// timelineTol is the change tolerance of the lineage walk (the engine
-// default, also used by GET /diff).
-const timelineTol = 1e-9
-
-// handleTimeline walks the store lineage head→root and summarizes every
-// step, reusing the summarize LRU per step: each (from, to, target) triple
-// is cached under the same (from, to, options-fingerprint) key POST
-// /summarize uses, so a timeline request warms the pair cache and vice
-// versa. Steps run concurrently; identical in-flight work is collapsed by
-// the cache's singleflight.
+// handleTimeline summarizes the store lineage root → head. The
+// head-relative all-defaults question is answered from the live maintained
+// timeline (see live.go); an explicit head, target or tuning field walks
+// the chain through history.SummarizeChainContext with every engine run
+// memoized in the result LRU under the same (from, to,
+// options-fingerprint) key POST /summarize uses, so a walk warms the pair
+// cache and vice versa, and identical in-flight work collapses to one
+// execution. A step's cached flag reports that the LRU answered it.
 func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	var req timelineRequest
 	// Every field is optional, so an absent body is the all-defaults
@@ -81,10 +77,6 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		writeError(w, err)
 		return
 	}
-	// The head-relative all-defaults question — "what does the timeline at
-	// the current head look like?" — is answered from the live maintained
-	// timeline and memoized per head version; explicit heads, targets, or
-	// tuning fall through to the request-time walk below.
 	if req.Head == "" && req.Target == "" &&
 		req.Alpha == nil && req.C == nil && req.T == nil && req.TopK == nil {
 		s.handleLiveTimeline(sh, w, r)
@@ -99,240 +91,96 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		}
 		head = hv.ID
 	}
-	chain, err := sh.st.Chain(head)
+	ids, err := chainIDs(sh.st, head)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if len(chain) < 2 {
-		writeError(w, errTimelineTooShort)
+	base := core.DefaultOptions(req.Target)
+	if req.Alpha != nil {
+		base.Alpha = *req.Alpha
+	}
+	if req.C != nil {
+		base.C = *req.C
+	}
+	if req.T != nil {
+		base.T = *req.T
+	}
+	if req.TopK != nil {
+		base.TopK = *req.TopK
+	}
+	var hits sync.Map // from|to|target of every run the LRU answered
+	mt, err := history.SummarizeChainContext(r.Context(), sh.st, ids, base, s.stepMemo(sh.cacheKeyPrefix(), &hits))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	steps := len(chain) - 1
+	writeJSON(w, http.StatusOK, encodeTimeline(ids, mt, func(from, to, target string) bool {
+		_, ok := hits.Load(from + "|" + to + "|" + target)
+		return ok
+	}))
+}
 
-	// Materialize each version exactly once and align the consecutive pairs
-	// up front — Align never mutates its inputs, so a middle snapshot can
-	// safely be one step's target and the next step's source. The chain is
-	// materialized delta-natively: a cold walk checks out the root and
-	// derives each next snapshot from its version's ChangeSet, so it parses
-	// one CSV instead of one per version; cached snapshots short-circuit to
-	// the warm clone path. changedBy[i] is the per-step changed-attribute
-	// set.
-	ctx := r.Context()
+// chainIDs resolves head's lineage to its version ids, root → head; a
+// lineage too short to have a step is an error.
+func chainIDs(st *store.Store, head string) ([]string, error) {
+	chain, err := st.Chain(head)
+	if err != nil {
+		return nil, err
+	}
+	if len(chain) < 2 {
+		return nil, errTimelineTooShort
+	}
 	ids := make([]string, len(chain))
 	for i, v := range chain {
 		ids[i] = v.ID
 	}
-	tables, err := history.MaterializeChainContext(ctx, sh.st, ids)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	aligned := make([]*diff.Aligned, steps)
-	changedBy := make([]map[string]bool, steps)
-	var schemaAttrs []string         // non-key attrs in schema order
-	numeric := map[string]bool{}     // attr -> numeric?
-	everChanged := map[string]bool{} // union across steps
-	for i := 0; i < steps; i++ {
-		a, err := diff.Align(tables[i], tables[i+1])
+	return ids, nil
+}
+
+// stepMemo backs timeline walks and live maintainers with the result LRU:
+// each (from, to, options) engine run is cached under prefix plus the key
+// POST /summarize uses, so walks, maintainers and pair questions share
+// results, and stepHook runs on every miss. hits, when non-nil, records
+// from|to|target for each run the LRU answered.
+func (s *Server) stepMemo(prefix string, hits *sync.Map) history.Memo {
+	return func(from, to string, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error) {
+		val, hit, err := s.cache.Do(prefix+from+"|"+to+"|"+opts.Fingerprint(), func() (any, error) {
+			if s.stepHook != nil {
+				s.stepHook()
+			}
+			return run()
+		})
 		if err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
-		aligned[i] = a
-		if schemaAttrs == nil {
-			keySet := map[string]bool{}
-			for _, k := range a.Source.Key() {
-				keySet[k] = true
-			}
-			for _, f := range a.Source.Schema() {
-				if keySet[f.Name] {
-					continue
-				}
-				schemaAttrs = append(schemaAttrs, f.Name)
-				numeric[f.Name] = f.Type.Numeric()
-			}
+		if hit && hits != nil {
+			hits.Store(from+"|"+to+"|"+opts.Target, true)
 		}
-		attrs, err := a.ChangedAttrs(timelineTol)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		changedBy[i] = map[string]bool{}
-		for _, attr := range attrs {
-			changedBy[i][attr] = true
-			everChanged[attr] = true
-		}
+		return val.([]core.Ranked), nil
 	}
+}
 
-	// Target set: the explicit request target (validated, so a typo reads
-	// as an error rather than a fabricated all-no-change timeline), else
-	// every changed numeric attribute in schema order (categorical changes
-	// are reported skipped).
-	var targets []string
-	skipped := map[string]string{}
-	if req.Target != "" {
-		isNumeric, known := numeric[req.Target]
-		switch {
-		case !known:
-			writeError(w, fmt.Errorf("unknown target attribute %q", req.Target))
-			return
-		case !isNumeric:
-			writeError(w, fmt.Errorf("target attribute %q is not numeric (categorical changes cannot be summarized)", req.Target))
-			return
-		}
-		targets = []string{req.Target}
-	} else {
-		for _, attr := range schemaAttrs {
-			if !everChanged[attr] {
-				continue
+// encodeTimeline renders a MultiTimeline over the version ids as the wire
+// timelineResponse, one target per summarized attribute with its per-step
+// rankings and drift notes. cached, when non-nil, sets each step's cached
+// flag.
+func encodeTimeline(ids []string, mt *history.MultiTimeline, cached func(from, to, target string) bool) timelineResponse {
+	resp := timelineResponse{
+		Head: ids[len(ids)-1], Versions: ids, Steps: mt.Steps, Skipped: mt.Skipped,
+	}
+	for _, attr := range mt.Attrs {
+		tl := mt.Timelines[attr]
+		tj := timelineTargetJSON{Target: attr}
+		for _, hs := range tl.Steps {
+			sj := timelineStepJSON{
+				From: ids[hs.From], To: ids[hs.To],
+				NoChange: hs.NoChange, Ranked: EncodeRanked(hs.Ranked),
 			}
-			if !numeric[attr] {
-				skipped[attr] = "non-numeric attribute (categorical change)"
-				continue
-			}
-			targets = append(targets, attr)
-		}
-	}
-
-	// Per-target engine options; the fingerprint keys the LRU.
-	optsByTarget := make([]core.Options, len(targets))
-	fpByTarget := make([]string, len(targets))
-	for ti, target := range targets {
-		opts := core.DefaultOptions(target)
-		if req.Alpha != nil {
-			opts.Alpha = *req.Alpha
-		}
-		if req.C != nil {
-			opts.C = *req.C
-		}
-		if req.T != nil {
-			opts.T = *req.T
-		}
-		if req.TopK != nil {
-			opts.TopK = *req.TopK
-		}
-		if steps > 1 {
-			// The step fan-out supplies the parallelism; single-threaded
-			// engine runs keep total concurrency at GOMAXPROCS instead of
-			// squaring it. Workers is excluded from the fingerprint and the
-			// engine is worker-count-independent, so cached results stay
-			// interchangeable with POST /summarize.
-			opts.Workers = 1
-		}
-		optsByTarget[ti] = opts
-		fpByTarget[ti] = opts.Fingerprint()
-	}
-
-	// Fan the steps out over a bounded pool. Within a step, the targets run
-	// sequentially through one lazily built PairContext, so a cold walk
-	// builds each pair's atom cache and split index once across all its
-	// targets; every result still lands in the LRU under the same key POST
-	// /summarize uses, so repeats cost nothing and concurrent duplicates
-	// collapse to one execution.
-	type cell struct {
-		ranked []core.Ranked
-		hit    bool
-		err    error
-		run    bool
-	}
-	cells := make([][]cell, len(targets))
-	for ti := range targets {
-		cells[ti] = make([]cell, steps)
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < steps; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The pool gate observes the request context: a cancelled or
-			// timed-out request stops dispatching steps instead of walking
-			// the rest of the lineage for a reader that is gone.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				for ti := range targets {
-					cells[ti][i].err = ctx.Err()
-				}
-				return
-			}
-			defer func() { <-sem }()
-			var pctx *core.PairContext // built on the step's first cache miss
-			from, to := chain[i].ID, chain[i+1].ID
-			for ti := range targets {
-				if !changedBy[i][targets[ti]] {
-					continue // NoChange step: no engine run
-				}
-				if err := ctx.Err(); err != nil {
-					cells[ti][i].err = err
-					return
-				}
-				key := sh.cacheKeyPrefix() + from + "|" + to + "|" + fpByTarget[ti]
-				val, hit, err := s.cache.Do(key, func() (any, error) {
-					if s.stepHook != nil {
-						s.stepHook()
-					}
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if pctx == nil {
-						var err error
-						if pctx, err = core.NewPairContext(aligned[i]); err != nil {
-							return nil, err
-						}
-					}
-					return pctx.Summarize(optsByTarget[ti])
-				})
-				c := &cells[ti][i]
-				c.run, c.hit, c.err = true, hit, err
-				if err == nil {
-					c.ranked = val.([]core.Ranked)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	// A dead request context outranks per-step errors: the walk was
-	// abandoned, not broken.
-	if err := ctx.Err(); err != nil {
-		writeError(w, err)
-		return
-	}
-	for ti := range targets {
-		for i := range cells[ti] {
-			if err := cells[ti][i].err; err != nil {
-				writeError(w, err)
-				return
-			}
-		}
-	}
-
-	resp := timelineResponse{Head: head, Steps: steps, Skipped: skipped}
-	for _, v := range chain {
-		resp.Versions = append(resp.Versions, v.ID)
-	}
-	for ti, target := range targets {
-		tj := timelineTargetJSON{Target: target}
-		// Assemble a history.Timeline alongside the wire steps so the drift
-		// analysis is the library's, not a re-implementation.
-		tl := &history.Timeline{Target: target}
-		for i := 0; i < steps; i++ {
-			c := cells[ti][i]
-			sj := timelineStepJSON{From: chain[i].ID, To: chain[i+1].ID}
-			hs := history.Step{From: i, To: i + 1}
-			if !c.run {
-				sj.NoChange, hs.NoChange = true, true
-			} else {
-				sj.Cached = c.hit
-				sj.Ranked = EncodeRanked(c.ranked)
-				hs.Ranked = c.ranked
-				if len(c.ranked) > 0 && c.ranked[0].NoChange {
-					sj.NoChange, hs.NoChange = true, true
-				}
+			if cached != nil {
+				sj.Cached = cached(sj.From, sj.To, attr)
 			}
 			tj.Steps = append(tj.Steps, sj)
-			tl.Steps = append(tl.Steps, hs)
 		}
 		for _, d := range tl.Drifts() {
 			tj.Drifts = append(tj.Drifts, driftJSON{
@@ -343,5 +191,5 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		}
 		resp.Targets = append(resp.Targets, tj)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }

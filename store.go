@@ -102,7 +102,7 @@ type TimelineMaintainer = history.TimelineMaintainer
 // NewTimelineMaintainer seeds a maintainer over a materialized chain: the
 // snapshots and their version ids, root→head, at least 2 of each.
 func NewTimelineMaintainer(snaps []*Table, ids []string, base Options) (*TimelineMaintainer, error) {
-	return history.NewTimelineMaintainer(snaps, ids, base)
+	return history.NewTimelineMaintainer(snaps, ids, base, nil)
 }
 
 // CommitNote is one commit notification delivered on a VersionStore
