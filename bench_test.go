@@ -162,6 +162,29 @@ func BenchmarkTimeline(b *testing.B) {
 	}
 }
 
+// BenchmarkTimelineCold times one timeline-cold operation's engine work:
+// the whole-table timeline of a 150-row, 3-step chain (all four targets
+// change) at DefaultOptions, with no cache in front of the engine. It is the
+// stage-level counterpart of the benchmark's timeline-cold workload.
+func BenchmarkTimelineCold(b *testing.B) {
+	snaps, err := ChainDataset(ChainConfig{N: 150, Steps: 3, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := DefaultOptions("")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mt, err := SummarizeTimelineAll(snaps, base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(mt.Attrs) != 4 {
+			b.Fatalf("attrs = %v", mt.Attrs)
+		}
+	}
+}
+
 // diffChainStore commits the 50-step chain into a memory store tuned so the
 // whole chain stays delta-encoded (one anchor at the root) and warms every
 // cache with one pass over the adjacent pairs — the steady state both diff

@@ -20,9 +20,19 @@ type BenchResult struct {
 	N           int   `json:"n"` // iterations measured
 }
 
+// LayerResult is one stage benchmark at one GOMAXPROCS, measured on one
+// machine at a parent commit and with the change that moved it.
+type LayerResult struct {
+	Gomaxprocs int         `json:"gomaxprocs"`
+	CPU        string      `json:"cpu"`
+	Parent     BenchResult `json:"parent"`
+	Change     BenchResult `json:"change"`
+}
+
 // BaselineFile is the schema of BENCH_baseline.json: the pre-change numbers
 // of the PR that introduced the vectorized evaluation layer (kept for the
-// record) and the most recent measurement.
+// record), the most recent measurement, the loadtests, and the stage
+// benchmarks' before/after records (recorded by hand from go test -bench).
 type BaselineFile struct {
 	Recorded  string                    `json:"recorded"`
 	Go        string                    `json:"go"`
@@ -30,10 +40,12 @@ type BaselineFile struct {
 	PreChange map[string]BenchResult    `json:"pre_change,omitempty"`
 	Current   map[string]BenchResult    `json:"current"`
 	Loadtest  map[string]LoadtestResult `json:"loadtest,omitempty"`
+	Layers    map[string][]LayerResult  `json:"layers,omitempty"`
 }
 
 // writeBaseline measures the engine micro-benchmarks and writes (or
-// updates) the baseline file, preserving an existing pre_change section.
+// updates) the baseline file, preserving its pre_change, loadtest and
+// layers sections.
 func writeBaseline(path string) error {
 	// Fail on an unwritable destination before spending ~30s measuring.
 	probe, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
@@ -52,6 +64,7 @@ func writeBaseline(path string) error {
 			out.PreChange = old.PreChange
 			out.Note = old.Note
 			out.Loadtest = old.Loadtest
+			out.Layers = old.Layers
 		}
 	}
 

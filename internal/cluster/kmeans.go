@@ -46,6 +46,26 @@ func (o Options) withDefaults() Options {
 // run wins. Labels are renumbered so cluster 0 is the largest.
 // Deterministic for a fixed opts.Seed.
 func KMeans1D(values []float64, k int, opts Options) (*Result, error) {
+	return new(Workspace).KMeans1D(values, k, opts)
+}
+
+// Workspace is reusable KMeans1D storage: the per-run and best-run label,
+// center and size buffers, the k-means++ distance buffer, the relabelling
+// scratch and one random source, re-seeded per call. A caller that clusters
+// many signals keeps one and allocates nothing per call once its buffers
+// have grown. The zero value is ready to use; a Workspace is not safe for
+// concurrent use.
+type Workspace struct {
+	rng       *rand.Rand
+	cur, best Result
+	dist      []float64
+	order     bySize
+	remap     []int
+}
+
+// KMeans1D is the package-level KMeans1D in w's storage. The returned
+// Result and its slices are w's and are overwritten by the next call.
+func (w *Workspace) KMeans1D(values []float64, k int, opts Options) (*Result, error) {
 	n := len(values)
 	if k <= 0 {
 		return nil, fmt.Errorf("cluster: k must be positive, got %d", k)
@@ -57,25 +77,29 @@ func KMeans1D(values []float64, k int, opts Options) (*Result, error) {
 		k = n
 	}
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(opts.Seed))
+	} else {
+		w.rng.Seed(opts.Seed)
+	}
 
-	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
-		res := runLloyd1D(values, k, opts.MaxIters, rng)
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
+		w.runLloyd1D(values, k, opts.MaxIters)
+		if r == 0 || w.cur.Inertia < w.best.Inertia {
+			w.cur, w.best = w.best, w.cur
 		}
 	}
-	relabelBySize(best)
-	return best, nil
+	w.relabelBySize()
+	return &w.best, nil
 }
 
-func runLloyd1D(values []float64, k, maxIters int, rng *rand.Rand) *Result {
+// runLloyd1D runs one seeded Lloyd's refinement into w.cur.
+func (w *Workspace) runLloyd1D(values []float64, k, maxIters int) {
 	n := len(values)
-	centers := seedPlusPlus1D(values, k, rng)
-	labels := make([]int, n)
-	sizes := make([]int, k)
-	res := &Result{K: k}
+	res := &w.cur
+	*res = Result{K: k, Labels: resizeInts(res.Labels, n), Centers: res.Centers, Sizes: resizeInts(res.Sizes, k)}
+	w.seedPlusPlus1D(values, k)
+	centers, labels, sizes := res.Centers, res.Labels, res.Sizes
 	for iter := 0; iter < maxIters; iter++ {
 		changed := false
 		for i, v := range values {
@@ -138,22 +162,21 @@ func runLloyd1D(values []float64, k, maxIters int, rng *rand.Rand) *Result {
 		sizes[bi]++
 		inertia += bd
 	}
-	res.Labels = labels
-	res.Sizes = sizes
 	res.Inertia = inertia
-	res.Centers = centers
-	return res
 }
 
 // sq is the squared distance of a scalar difference.
 func sq(d float64) float64 { return d * d }
 
-// seedPlusPlus1D picks k initial centers with the k-means++ distribution.
-func seedPlusPlus1D(values []float64, k int, rng *rand.Rand) []float64 {
+// seedPlusPlus1D picks k initial centers with the k-means++ distribution
+// into w.cur.Centers.
+func (w *Workspace) seedPlusPlus1D(values []float64, k int) {
 	n := len(values)
-	centers := make([]float64, 0, k)
+	rng := w.rng
+	centers := w.cur.Centers[:0]
 	centers = append(centers, values[rng.Intn(n)])
-	dist := make([]float64, n)
+	w.dist = resizeFloats(w.dist, n)
+	dist := w.dist
 	for len(centers) < k {
 		total := 0.0
 		for i, v := range values {
@@ -183,36 +206,63 @@ func seedPlusPlus1D(values []float64, k int, rng *rand.Rand) []float64 {
 		}
 		centers = append(centers, values[chosen])
 	}
-	return centers
+	w.cur.Centers = centers
 }
 
-// relabelBySize renumbers clusters so that cluster 0 is the largest; this
-// makes downstream output deterministic and stable across seeds.
-func relabelBySize(r *Result) {
-	order := make([]int, r.K)
-	for i := range order {
-		order[i] = i
+// bySize orders cluster ids by descending size, ties by ascending center.
+type bySize struct {
+	ids     []int
+	sizes   []int
+	centers []float64
+}
+
+func (o *bySize) Len() int { return len(o.ids) }
+func (o *bySize) Less(a, b int) bool {
+	if o.sizes[o.ids[a]] != o.sizes[o.ids[b]] {
+		return o.sizes[o.ids[a]] > o.sizes[o.ids[b]]
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if r.Sizes[order[a]] != r.Sizes[order[b]] {
-			return r.Sizes[order[a]] > r.Sizes[order[b]]
-		}
-		// Tie-break on the center for determinism.
-		return r.Centers[order[a]] < r.Centers[order[b]]
-	})
-	remap := make([]int, r.K)
-	for newID, oldID := range order {
-		remap[oldID] = newID
+	// Tie-break on the center for determinism.
+	return o.centers[o.ids[a]] < o.centers[o.ids[b]]
+}
+func (o *bySize) Swap(a, b int) { o.ids[a], o.ids[b] = o.ids[b], o.ids[a] }
+
+// relabelBySize renumbers w.best's clusters so that cluster 0 is the
+// largest; this makes downstream output deterministic and stable across
+// seeds. w.cur's center and size buffers receive the renumbered copies.
+func (w *Workspace) relabelBySize() {
+	r := &w.best
+	w.order = bySize{ids: resizeInts(w.order.ids, r.K), sizes: r.Sizes, centers: r.Centers}
+	for i := range w.order.ids {
+		w.order.ids[i] = i
+	}
+	sort.Stable(&w.order)
+	w.remap = resizeInts(w.remap, r.K)
+	for newID, oldID := range w.order.ids {
+		w.remap[oldID] = newID
 	}
 	for i, l := range r.Labels {
-		r.Labels[i] = remap[l]
+		r.Labels[i] = w.remap[l]
 	}
-	newCenters := make([]float64, r.K)
-	newSizes := make([]int, r.K)
-	for oldID, newID := range remap {
+	newCenters := resizeFloats(w.cur.Centers, r.K)
+	newSizes := resizeInts(w.cur.Sizes, r.K)
+	for oldID, newID := range w.remap {
 		newCenters[newID] = r.Centers[oldID]
 		newSizes[newID] = r.Sizes[oldID]
 	}
-	r.Centers = newCenters
-	r.Sizes = newSizes
+	w.cur.Centers, r.Centers = r.Centers, newCenters
+	w.cur.Sizes, r.Sizes = r.Sizes, newSizes
+}
+
+func resizeInts(s []int, n int) []int {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int, n)
+}
+
+func resizeFloats(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]float64, n)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -166,5 +167,33 @@ func TestDuplicatePointsDoNotCrash(t *testing.T) {
 	}
 	if res.Inertia != 0 {
 		t.Errorf("identical points inertia = %v", res.Inertia)
+	}
+}
+
+// TestWorkspaceMatchesFreshKMeans pins that one Workspace reused across
+// signals of varying length, k and seed returns results deep-equal to a
+// fresh KMeans1D: the re-seeded random source and the recycled buffers
+// leave no trace of earlier calls.
+func TestWorkspaceMatchesFreshKMeans(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var w Workspace
+	for trial := 0; trial < 300; trial++ {
+		vals := make([]float64, 1+rng.Intn(40))
+		for i := range vals {
+			vals[i] = math.Round(rng.NormFloat64()*3) * 10 // ties and empty clusters
+		}
+		k := 1 + rng.Intn(5)
+		opts := Options{Seed: int64(rng.Intn(5)), Restarts: rng.Intn(5), MaxIters: rng.Intn(3) * 50}
+		want, err := KMeans1D(vals, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := w.KMeans1D(vals, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: workspace %+v, fresh %+v", trial, got, want)
+		}
 	}
 }

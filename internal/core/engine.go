@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -196,18 +198,20 @@ func (e *engine) run() ([]Ranked, error) {
 	done := make(chan struct{}) // closed on first worker error: stop feeding
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// Each worker owns one Evaluator (scratch buffers are per-worker;
-		// the compiled-atom cache is shared across all of them).
+		// Each worker owns one Evaluator and one set of fitting and
+		// clustering buffers (the compiled-atom cache is shared across all
+		// of them).
 		ev, err := score.NewEvaluator(e.a.Source, e.newVals, e.changed, e.opts.Alpha, e.opts.Weights)
 		if err != nil {
 			return nil, err
 		}
 		ev.SetCache(e.pcache)
+		wk := &worker{ev: ev}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				ranked, err := e.evalFeatureSet(tranSubsets[i], condSubsets, ev)
+				ranked, err := e.evalFeatureSet(tranSubsets[i], condSubsets, wk)
 				results <- unit{subset: i, ranked: ranked, err: err}
 			}
 		}()
@@ -229,6 +233,7 @@ func (e *engine) run() ([]Ranked, error) {
 
 	type pick struct {
 		r      Ranked
+		fp     string
 		subset int
 	}
 	best := map[string]pick{} // fingerprint -> best-scoring instance
@@ -243,7 +248,7 @@ func (e *engine) run() ([]Ranked, error) {
 			cur, ok := best[fp]
 			if !ok || r.Breakdown.Score > cur.r.Breakdown.Score ||
 				(r.Breakdown.Score == cur.r.Breakdown.Score && u.subset < cur.subset) {
-				best[fp] = pick{r, u.subset}
+				best[fp] = pick{r, fp, u.subset}
 			}
 		}
 	}
@@ -251,28 +256,60 @@ func (e *engine) run() ([]Ranked, error) {
 		return nil, firstErr
 	}
 
-	ranked := make([]Ranked, 0, len(best))
+	picks := make([]pick, 0, len(best))
 	for _, p := range best {
-		ranked = append(ranked, p.r)
+		picks = append(picks, p)
 	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Breakdown.Score != ranked[j].Breakdown.Score {
-			return ranked[i].Breakdown.Score > ranked[j].Breakdown.Score
+	sort.Slice(picks, func(i, j int) bool {
+		a, b := picks[i].r, picks[j].r
+		if a.Breakdown.Score != b.Breakdown.Score {
+			return a.Breakdown.Score > b.Breakdown.Score
 		}
 		// Deterministic tie-breaks: more interpretable (matters at α = 1,
 		// where the blend ignores it), then smaller, then fingerprint.
-		if ranked[i].Breakdown.Interpretability != ranked[j].Breakdown.Interpretability {
-			return ranked[i].Breakdown.Interpretability > ranked[j].Breakdown.Interpretability
+		if a.Breakdown.Interpretability != b.Breakdown.Interpretability {
+			return a.Breakdown.Interpretability > b.Breakdown.Interpretability
 		}
-		if ranked[i].Summary.Size() != ranked[j].Summary.Size() {
-			return ranked[i].Summary.Size() < ranked[j].Summary.Size()
+		if a.Summary.Size() != b.Summary.Size() {
+			return a.Summary.Size() < b.Summary.Size()
 		}
-		return ranked[i].Summary.Fingerprint() < ranked[j].Summary.Fingerprint()
+		return picks[i].fp < picks[j].fp
 	})
+	ranked := make([]Ranked, len(picks))
+	for i, p := range picks {
+		ranked[i] = p.r
+	}
 	if len(ranked) > e.opts.TopK {
 		ranked = ranked[:e.opts.TopK]
 	}
 	return ranked, nil
+}
+
+// worker is one engine worker's reusable state: its scorer, its partition
+// labelling and fitting storage, and the memo of per-partition fits.
+// Nothing in it is shared between workers, so it needs no locks.
+type worker struct {
+	ev *score.Evaluator
+	partitioner
+	labelsByK [][]int // full per-row labels, per k, for the current T
+
+	// Per-partition fits: the model being fitted, the partition's usable
+	// changed rows, their memo key, and the memo itself — one per feature
+	// subset T, keyed by the exact changed-row list, since every fit input
+	// other than those rows is fixed for a T.
+	m      regress.Model
+	chRows []int
+	key    []byte
+	memo   map[string]partitionFit
+	fits   uint64 // fits computed in the current T
+	hits   uint64 // fits answered by the memo in the current T
+}
+
+// partitionFit is a memoized per-partition fit: the transformation after
+// the fit → snap → identity collapse, and its MAE on the partition.
+type partitionFit struct {
+	tran model.Transformation
+	mae  float64
 }
 
 // evalFeatureSet evaluates every (C, k) candidate for one transformation
@@ -280,8 +317,16 @@ func (e *engine) run() ([]Ranked, error) {
 // depend on the condition subset is hoisted: the usable rows, the global
 // fit, and the clustering signal are computed once per T, and the partition
 // labels once per (T, k) — the historical code re-derived all of it for
-// every condition subset.
-func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, ev *score.Evaluator) ([]Ranked, error) {
+// every condition subset. Partitions that recur across candidates (the
+// same changed rows under a different condition or k) are fitted once per
+// T.
+func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, w *worker) ([]Ranked, error) {
+	w.memo, w.fits, w.hits = map[string]partitionFit{}, 0, 0
+	defer func() {
+		w.memo = nil
+		enginePartitionFits.Add(w.fits)
+		engineFitMemoHits.Add(w.hits)
+	}()
 	fm, err := e.featureMatrix(T)
 	if err != nil {
 		return nil, err
@@ -299,9 +344,12 @@ func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, ev *s
 	global := e.globalFit(rows, fm)
 	signal := e.signal(rows, fm, global)
 
-	// Partition labels depend on (T, k) only; memoized lazily so the
+	// Partition labels depend on (T, k) only; computed lazily so the
 	// emission order (C outer, k inner) matches the historical stream.
-	labelsByK := make([][]int, e.opts.KMax+1)
+	if len(w.labelsByK) < e.opts.KMax+1 {
+		w.labelsByK = make([][]int, e.opts.KMax+1)
+	}
+	ready := make([]bool, e.opts.KMax+1)
 
 	var out []Ranked
 	for _, C := range condSubsets {
@@ -309,22 +357,20 @@ func (e *engine) evalFeatureSet(T []model.Feature, condSubsets [][]string, ev *s
 			if k > len(rows) {
 				continue
 			}
-			labels := labelsByK[k]
-			if labels == nil {
-				labels, err = e.partitionLabels(signal, rows, fm, k)
-				if err != nil {
+			if !ready[k] {
+				if err := e.partitionLabels(w, signal, rows, fm, k); err != nil {
 					return nil, err
 				}
-				labelsByK[k] = labels
+				ready[k] = true
 			}
-			sum, err := e.candidate(C, T, k, fm, labels)
+			sum, err := e.candidate(w, C, T, k, fm, w.labelsByK[k])
 			if err != nil {
 				return nil, err
 			}
 			if sum == nil {
 				continue
 			}
-			bd, err := ev.Evaluate(sum)
+			bd, err := w.ev.Evaluate(sum)
 			if err != nil {
 				return nil, err
 			}
@@ -379,15 +425,20 @@ func (e *engine) signal(rows []int, fm *featMat, global *regress.Model) []float6
 
 // partitionLabels clusters the signal into k groups (seed + EM-style
 // refinement; see seedAndRefine) and expands the result to a full per-row
-// labeling: changed rows carry their cluster id, all other rows the
-// "unchanged" class k, so the condition tree learns to separate them.
-func (e *engine) partitionLabels(signal []float64, rows []int, fm *featMat, k int) ([]int, error) {
-	clusterLabels, err := seedAndRefine(signal, rows, fm, e.newVals, k, e.opts.Seed, e.opts.NoRefine)
+// labeling in w.labelsByK[k]: changed rows carry their cluster id, all other
+// rows the "unchanged" class k, so the condition tree learns to separate
+// them.
+func (e *engine) partitionLabels(w *worker, signal []float64, rows []int, fm *featMat, k int) error {
+	clusterLabels, err := w.seedAndRefine(signal, rows, fm, e.newVals, k, e.opts.Seed, e.opts.NoRefine)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := e.a.Source.NumRows()
-	labels := make([]int, n)
+	labels := w.labelsByK[k]
+	if cap(labels) < n {
+		labels = make([]int, n)
+	}
+	labels = labels[:n]
 	unchangedLabel := k
 	for r := 0; r < n; r++ {
 		labels[r] = unchangedLabel
@@ -395,7 +446,8 @@ func (e *engine) partitionLabels(signal []float64, rows []int, fm *featMat, k in
 	for i, r := range rows {
 		labels[r] = clusterLabels[i]
 	}
-	return labels, nil
+	w.labelsByK[k] = labels
+	return nil
 }
 
 // featureSubsets enumerates the transformation feature sets to try: all
@@ -521,7 +573,7 @@ func (e *engine) featureMatrix(T []model.Feature) (*featMat, error) {
 // per-partition refit → snap. (The global fit, clustering signal, and
 // labels are hoisted into evalFeatureSet — they do not depend on C.)
 // Returns nil when the combination yields no explicit CTs.
-func (e *engine) candidate(C []string, T []model.Feature, k int, fm *featMat, labels []int) (*model.Summary, error) {
+func (e *engine) candidate(w *worker, C []string, T []model.Feature, k int, fm *featMat, labels []int) (*model.Summary, error) {
 	// Tree depth: a decision list needs up to k splits to carve k+1 classes
 	// out of one categorical attribute (the paper's c bounds *attributes*
 	// per condition, not atoms; simplifyPredicate collapses the ≠-chains
@@ -556,10 +608,7 @@ func (e *engine) candidate(C []string, T []model.Feature, k int, fm *featMat, la
 		if err != nil {
 			return nil, err
 		}
-		ct, err := e.fitPartition(pred, leaf.Rows, T, fm)
-		if err != nil {
-			return nil, err
-		}
+		ct := e.fitPartition(w, pred, leaf.Rows, T, fm)
 		if ct == nil {
 			continue
 		}
@@ -600,12 +649,11 @@ func (s *ctsByDominance) Swap(i, j int) {
 }
 
 // fitPartition turns one induced partition into a CT. Partitions dominated
-// by unchanged rows become "no change"; otherwise a linear model is fitted
-// on the changed rows, with graceful fallbacks for tiny partitions, then
-// snapped to normal constants.
-func (e *engine) fitPartition(pred predicate.Predicate, rows []int, T []model.Feature, fm *featMat) (*model.CT, error) {
+// by unchanged rows become "no change"; otherwise the partition's changed
+// rows get a fitted transformation (see fitChanged), memoized per T.
+func (e *engine) fitPartition(w *worker, pred predicate.Predicate, rows []int, T []model.Feature, fm *featMat) *model.CT {
 	if len(rows) == 0 {
-		return nil, nil
+		return nil
 	}
 	total := e.a.Source.NumRows()
 	ct := &model.CT{
@@ -613,43 +661,69 @@ func (e *engine) fitPartition(pred predicate.Predicate, rows []int, T []model.Fe
 		Rows:     len(rows),
 		Coverage: float64(len(rows)) / float64(total),
 	}
-	var chRows []int
+	chRows := w.chRows[:0]
 	for _, r := range rows {
 		if e.changed[r] && fm.ok[r] {
 			chRows = append(chRows, r)
 		}
 	}
+	w.chRows = chRows
 	// Mostly-unchanged partition → identity transformation.
 	if float64(len(chRows)) < 0.5*float64(len(rows)) {
 		ct.Tran = model.Identity(e.opts.Target)
-		return ct, nil
+		return ct
 	}
 
-	x := make([][]float64, len(chRows))
-	y := make([]float64, len(chRows))
+	w.key = w.key[:0]
+	for _, r := range chRows {
+		w.key = binary.AppendUvarint(w.key, uint64(r))
+	}
+	if f, ok := w.memo[string(w.key)]; ok {
+		w.hits++
+		ct.Tran = f.tran
+		ct.Tran.Inputs = slices.Clone(f.tran.Inputs)
+		ct.Tran.Features = slices.Clone(f.tran.Features)
+		ct.Tran.Coef = slices.Clone(f.tran.Coef)
+		ct.MAE = f.mae
+		return ct
+	}
+	w.fits++
+	ct.Tran, ct.MAE = e.fitChanged(w, chRows, T, fm)
+	w.memo[string(w.key)] = partitionFit{tran: ct.Tran, mae: ct.MAE}
+	return ct
+}
+
+// fitChanged fits the transformation of one partition's changed rows: a
+// linear model on T, with graceful fallbacks for tiny partitions, snapped
+// to normal constants, and collapsed to identity when numerically equal to
+// it. It returns the transformation and its MAE on the rows.
+func (e *engine) fitChanged(w *worker, chRows []int, T []model.Feature, fm *featMat) (model.Transformation, float64) {
+	x, y := w.x[:0], w.y[:0]
 	// The snapping budget is relative to the *magnitude of change* in this
 	// partition, not the magnitude of the target: rounding may cost a few
 	// percent of the change, never a few percent of the value (which would
 	// legalize erasing whole rules).
 	deltaScale := 0.0
-	for i, r := range chRows {
-		x[i] = fm.row(r)
-		y[i] = e.newVals[r]
+	for _, r := range chRows {
+		x = append(x, fm.row(r))
+		y = append(y, e.newVals[r])
 		deltaScale += math.Abs(e.newVals[r] - e.oldVals[r])
 	}
+	w.x, w.y = x, y
 	deltaScale /= float64(len(chRows))
-	var m *regress.Model
+	m := &w.m
 	var err error
 	if e.opts.Robust {
-		m, _, err = regress.FitRobust(x, y, regress.RobustOptions{Base: regress.DefaultOptions()})
+		_, err = w.fit.FitRobust(m, x, y, regress.RobustOptions{Base: regress.DefaultOptions()})
 	} else {
-		m, err = regress.Fit(x, y, regress.DefaultOptions())
+		err = w.fit.Fit(m, x, y, regress.DefaultOptions())
 	}
 	if err != nil {
 		// Fallback 1: no intercept (needs one fewer row).
-		m, err = regress.Fit(x, y, regress.Options{Intercept: false, Ridge: 1e-8})
+		err = w.fit.Fit(m, x, y, regress.Options{Intercept: false, Ridge: 1e-8})
 	}
 	var tran model.Transformation
+	var mae float64
 	if err == nil {
 		snapped := regress.Snap(m, x, y, regress.SnapOptions{Tolerance: e.opts.SnapTolerance, Scale: deltaScale})
 		tran = model.Transformation{
@@ -658,7 +732,7 @@ func (e *engine) fitPartition(pred predicate.Predicate, rows []int, T []model.Fe
 			Coef:      snapped.Coef,
 			Intercept: snapped.Intercept,
 		}
-		ct.MAE = snapped.MAE
+		mae = snapped.MAE
 	} else {
 		// Fallback 2: pure shift on the target's own previous value
 		// (new = old + mean Δ); always well defined with ≥ 1 row.
@@ -680,15 +754,14 @@ func (e *engine) fitPartition(pred predicate.Predicate, rows []int, T []model.Fe
 			Coef:      snapped.Coef,
 			Intercept: snapped.Intercept,
 		}
-		ct.MAE = snapped.MAE
+		mae = snapped.MAE
 	}
 	// A fitted transformation numerically equal to identity collapses to
 	// NoChange (cleaner rendering, better interpretability score).
 	if isIdentity(tran, e.opts.Target) {
 		tran = model.Identity(e.opts.Target)
 	}
-	ct.Tran = tran
-	return ct, nil
+	return tran, mae
 }
 
 // isIdentity recognizes new_target = 1.0×target + 0.

@@ -330,7 +330,7 @@ func TestRefineClustersConvergesToAffineGroups(t *testing.T) {
 			labels[i] = 1
 		}
 	}
-	refined := refineClusters(labels, rows, fm, newVals, 2)
+	refined := new(partitioner).refineClusters(labels, rows, fm, newVals, 2)
 	// All rows of one true group must share a label.
 	label0 := refined[0]
 	label1 := refined[1]

@@ -114,3 +114,23 @@ var (
 func AccelBuilds() (cacheBuilds, indexBuilds uint64) {
 	return accelCacheBuilds.Load(), accelIndexBuilds.Load()
 }
+
+// enginePartitionFits and engineFitMemoHits count, process-wide, the
+// per-partition fits the engine computed and those its per-feature-subset
+// memo answered instead (a partition whose changed rows recur under another
+// condition or k).
+var (
+	enginePartitionFits atomic.Uint64
+	engineFitMemoHits   atomic.Uint64
+)
+
+// Work is a snapshot of the process-wide engine work counters.
+type Work struct {
+	PartitionFits uint64 // per-partition fits computed
+	FitMemoHits   uint64 // per-partition fits answered by the fit memo
+}
+
+// EngineWork reports the process-wide engine work counters.
+func EngineWork() Work {
+	return Work{PartitionFits: enginePartitionFits.Load(), FitMemoHits: engineFitMemoHits.Load()}
+}

@@ -17,43 +17,65 @@ const refineMaxIters = 12
 // insensitive to both.
 const refineRestarts = 3
 
+// partitioner is one worker's reusable partition-labelling storage: the
+// k-means and fitting workspaces, the refined labels of the current and
+// best restart, and the per-cluster models. Labels it returns are its own
+// and are overwritten by the next call.
+type partitioner struct {
+	km        cluster.Workspace
+	fit       regress.Workspace
+	cur, best []int
+	sizes     []int
+	models    []regress.Model
+	fitted    []bool // models[c] is usable
+	x         [][]float64
+	y         []float64
+}
+
 // seedAndRefine clusters the 1-D signal with several independent seedings,
 // refines each EM-style, and returns the refined labeling with the lowest
 // total absolute fitting error (deterministic: ties keep the earliest
 // restart). This is the partition-discovery workhorse behind candidate().
-func seedAndRefine(signal []float64, rows []int, fm *featMat, newVals []float64, k int, seed int64, noRefine bool) ([]int, error) {
+// At k = 1 every restart yields the one-cluster labeling and the same
+// error, so the tie rule keeps restart 0 and the others are skipped.
+func (p *partitioner) seedAndRefine(signal []float64, rows []int, fm *featMat, newVals []float64, k int, seed int64, noRefine bool) ([]int, error) {
 	var bestLabels []int
 	bestErr := math.Inf(1)
-	for restart := 0; restart < refineRestarts; restart++ {
-		km, err := cluster.KMeans1D(signal, k, cluster.Options{Seed: seed + int64(restart)})
+	restarts := refineRestarts
+	if k == 1 || noRefine {
+		restarts = 1 // without refinement the extra seeds only churn
+	}
+	for restart := 0; restart < restarts; restart++ {
+		km, err := p.km.KMeans1D(signal, k, cluster.Options{Seed: seed + int64(restart)})
 		if err != nil {
 			return nil, err
 		}
 		labels := km.Labels
 		if !noRefine {
-			labels = refineClusters(km.Labels, rows, fm, newVals, k)
+			labels = p.refineClusters(km.Labels, rows, fm, newVals, k)
 		}
-		total := totalAbsError(labels, rows, fm, newVals, k)
+		total := p.totalAbsError(labels, rows, fm, newVals, k)
 		if total < bestErr-1e-9 {
-			bestLabels, bestErr = labels, total
-		}
-		if noRefine {
-			break // without refinement the extra seeds only churn
+			bestErr = total
+			// labels is p.cur or the k-means workspace's, which the next
+			// restart overwrites: keep a copy.
+			p.best = append(p.best[:0], labels...)
+			bestLabels = p.best
 		}
 	}
 	return bestLabels, nil
 }
 
 // totalAbsError sums each row's absolute error under its cluster's model.
-func totalAbsError(labels []int, rows []int, fm *featMat, newVals []float64, k int) float64 {
-	models := fitClusterModels(labels, rows, fm, newVals, k)
+func (p *partitioner) totalAbsError(labels []int, rows []int, fm *featMat, newVals []float64, k int) float64 {
+	p.fitClusterModels(labels, rows, fm, newVals, k)
 	total := 0.0
 	for i, r := range rows {
-		m := models[labels[i]]
-		if m == nil {
+		c := labels[i]
+		if !p.fitted[c] {
 			continue
 		}
-		total += math.Abs(newVals[r] - m.Predict(fm.row(r)))
+		total += math.Abs(newVals[r] - p.models[c].Predict(fm.row(r)))
 	}
 	return total
 }
@@ -64,17 +86,15 @@ func totalAbsError(labels []int, rows []int, fm *featMat, newVals []float64, k i
 // cluster of rows[i]; feats and newVals are indexed by table row.
 // The refined labels (same indexing as labels) are returned; the input
 // slice is not modified.
-func refineClusters(labels []int, rows []int, fm *featMat, newVals []float64, k int) []int {
-	cur := append([]int(nil), labels...)
+func (p *partitioner) refineClusters(labels []int, rows []int, fm *featMat, newVals []float64, k int) []int {
+	p.cur = append(p.cur[:0], labels...)
+	cur := p.cur
 	if k <= 1 || len(rows) <= 1 {
 		return cur
 	}
 	for iter := 0; iter < refineMaxIters; iter++ {
-		models := fitClusterModels(cur, rows, fm, newVals, k)
-		sizes := make([]int, k)
-		for _, l := range cur {
-			sizes[l]++
-		}
+		p.fitClusterModels(cur, rows, fm, newVals, k)
+		sizes := p.clusterSizes(cur, k)
 		changed := false
 		for i, r := range rows {
 			// Tolerance for "fits equally well": rows on the intersection
@@ -84,11 +104,10 @@ func refineClusters(labels []int, rows []int, fm *featMat, newVals []float64, k 
 			eps := 1e-9 * (1 + math.Abs(newVals[r]))
 			bestC, bestErr := -1, math.Inf(1)
 			for c := 0; c < k; c++ {
-				m := models[c]
-				if m == nil {
+				if !p.fitted[c] {
 					continue
 				}
-				err := math.Abs(newVals[r] - m.Predict(fm.row(r)))
+				err := math.Abs(newVals[r] - p.models[c].Predict(fm.row(r)))
 				switch {
 				case err < bestErr-eps:
 					bestC, bestErr = c, err
@@ -116,21 +135,35 @@ func refineClusters(labels []int, rows []int, fm *featMat, newVals []float64, k 
 	return cur
 }
 
-// fitClusterModels fits one model per cluster, with the same fallback
-// ladder the partition fitter uses; clusters that cannot support any fit
-// get nil (rows keep their previous assignment relative to them).
-func fitClusterModels(labels []int, rows []int, fm *featMat, newVals []float64, k int) []*regress.Model {
-	models := make([]*regress.Model, k)
-	sizes := make([]int, k)
-	for _, l := range labels {
-		sizes[l]++
+// clusterSizes counts the rows per cluster into p.sizes.
+func (p *partitioner) clusterSizes(labels []int, k int) []int {
+	if cap(p.sizes) < k {
+		p.sizes = make([]int, k)
 	}
+	p.sizes = p.sizes[:k]
+	clear(p.sizes)
+	for _, l := range labels {
+		p.sizes[l]++
+	}
+	return p.sizes
+}
+
+// fitClusterModels fits one model per cluster into p.models, with the same
+// fallback ladder the partition fitter uses; clusters that cannot support
+// any fit are marked unfitted in p.fitted (rows keep their previous
+// assignment relative to them).
+func (p *partitioner) fitClusterModels(labels []int, rows []int, fm *featMat, newVals []float64, k int) {
+	if len(p.models) < k {
+		p.models = make([]regress.Model, k)
+		p.fitted = make([]bool, k)
+	}
+	sizes := p.clusterSizes(labels, k)
 	for c := 0; c < k; c++ {
+		p.fitted[c] = false
 		if sizes[c] == 0 {
 			continue
 		}
-		x := make([][]float64, 0, sizes[c])
-		y := make([]float64, 0, sizes[c])
+		x, y := p.x[:0], p.y[:0]
 		for i, r := range rows {
 			if labels[i] != c {
 				continue
@@ -138,12 +171,14 @@ func fitClusterModels(labels []int, rows []int, fm *featMat, newVals []float64, 
 			x = append(x, fm.row(r))
 			y = append(y, newVals[r])
 		}
+		p.x, p.y = x, y
 		if len(y) == 0 {
 			continue
 		}
-		m, err := regress.Fit(x, y, regress.DefaultOptions())
+		m := &p.models[c]
+		err := p.fit.Fit(m, x, y, regress.DefaultOptions())
 		if err != nil {
-			m, err = regress.Fit(x, y, regress.Options{Intercept: false, Ridge: 1e-8})
+			err = p.fit.Fit(m, x, y, regress.Options{Intercept: false, Ridge: 1e-8})
 		}
 		if err != nil {
 			// Constant model: predict the cluster's mean new value.
@@ -152,10 +187,10 @@ func fitClusterModels(labels []int, rows []int, fm *featMat, newVals []float64, 
 				mean += v
 			}
 			mean /= float64(len(y))
-			m = &regress.Model{Coef: make([]float64, len(x[0])), Intercept: mean}
+			m.Coef = append(m.Coef[:0], make([]float64, len(x[0]))...)
+			m.Intercept = mean
 			m.Refit(x, y)
 		}
-		models[c] = m
+		p.fitted[c] = true
 	}
-	return models
 }

@@ -9,77 +9,24 @@ import (
 // ErrSingular is returned when a system is (numerically) rank deficient.
 var ErrSingular = errors.New("linalg: matrix is singular or rank deficient")
 
-// SolveLinear solves the square system A·x = b via Gaussian elimination with
-// partial pivoting. A and b are not modified.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("linalg: SolveLinear needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveLinear: len(b)=%d, want %d", len(b), n)
-	}
-	// Augmented working copy.
-	m := a.Clone()
-	x := append([]float64(nil), b...)
-	for col := 0; col < n; col++ {
-		// Partial pivot: largest |entry| in this column at or below the diagonal.
-		pivot, pmax := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > pmax {
-				pivot, pmax = r, v
-			}
-		}
-		if pmax == 0 || math.IsNaN(pmax) {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			for j := col; j < n; j++ {
-				tmp := m.At(col, j)
-				m.Set(col, j, m.At(pivot, j))
-				m.Set(pivot, j, tmp)
-			}
-			x[col], x[pivot] = x[pivot], x[col]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
-}
-
-// QR holds a Householder QR factorization of an m×n matrix with m ≥ n:
-// A = Q·R with Q orthogonal (stored implicitly as Householder vectors) and
-// R upper triangular.
-type QR struct {
+// householder holds a Householder QR factorization of an m×n matrix with
+// m ≥ n: A = Q·R with Q orthogonal (stored implicitly as Householder
+// vectors) and R upper triangular.
+type householder struct {
 	qr   *Matrix   // Householder vectors below the diagonal, R on/above it
 	rdia []float64 // diagonal of R
 }
 
-// Factor computes the QR factorization of a (not modified).
-func Factor(a *Matrix) (*QR, error) {
-	m, n := a.Rows, a.Cols
+// factor factorizes qr in place (it becomes the factorization's storage),
+// reusing f's diagonal buffer.
+func (f *householder) factor(qr *Matrix) error {
+	m, n := qr.Rows, qr.Cols
 	if m < n {
-		return nil, fmt.Errorf("linalg: QR needs rows ≥ cols, got %dx%d", m, n)
+		return fmt.Errorf("linalg: QR needs rows ≥ cols, got %dx%d", m, n)
 	}
-	qr := a.Clone()
-	rdia := make([]float64, n)
+	f.qr = qr
+	f.rdia = resize(f.rdia, n)
+	rdia := f.rdia
 	for k := 0; k < n; k++ {
 		// Householder vector for column k.
 		norm := 0.0
@@ -110,12 +57,12 @@ func Factor(a *Matrix) (*QR, error) {
 		}
 		rdia[k] = -norm
 	}
-	return &QR{qr: qr, rdia: rdia}, nil
+	return nil
 }
 
-// FullRank reports whether R has no (near-)zero diagonal entries relative to
+// fullRank reports whether R has no (near-)zero diagonal entries relative to
 // the largest one.
-func (f *QR) FullRank() bool {
+func (f *householder) fullRank() bool {
 	maxd := 0.0
 	for _, d := range f.rdia {
 		if a := math.Abs(d); a > maxd {
@@ -134,35 +81,13 @@ func (f *QR) FullRank() bool {
 	return true
 }
 
-// ConditionEstimate returns max|R_ii| / min|R_ii|, a cheap proxy for the
-// 2-norm condition number of A.
-func (f *QR) ConditionEstimate() float64 {
-	mind, maxd := math.Inf(1), 0.0
-	for _, d := range f.rdia {
-		a := math.Abs(d)
-		if a < mind {
-			mind = a
-		}
-		if a > maxd {
-			maxd = a
-		}
-	}
-	if mind == 0 {
-		return math.Inf(1)
-	}
-	return maxd / mind
-}
-
-// Solve returns x minimizing ‖A·x − b‖₂ using the stored factorization.
-func (f *QR) Solve(b []float64) ([]float64, error) {
+// solve writes the least-squares solution into x (len n), using y — a copy
+// of b, len m — as scratch for Qᵀb.
+func (f *householder) solve(x, y []float64) error {
 	m, n := f.qr.Rows, f.qr.Cols
-	if len(b) != m {
-		return nil, fmt.Errorf("linalg: QR.Solve: len(b)=%d, want %d", len(b), m)
+	if !f.fullRank() {
+		return ErrSingular
 	}
-	if !f.FullRank() {
-		return nil, ErrSingular
-	}
-	y := append([]float64(nil), b...)
 	// Apply Qᵀ to b.
 	for k := 0; k < n; k++ {
 		if f.qr.At(k, k) == 0 {
@@ -178,7 +103,6 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 		}
 	}
 	// Back-substitute R·x = (Qᵀb)[:n].
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
@@ -186,36 +110,92 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 		}
 		x[i] = s / f.rdia[i]
 	}
-	return x, nil
+	return nil
+}
+
+// Workspace is reusable storage for least-squares solves: the factored
+// working copy of A, R's diagonal, and the right-hand-side and solution
+// vectors. A caller solving many small systems keeps one and allocates
+// nothing once its buffers have grown. The zero value is ready to use; a
+// Workspace is not safe for concurrent use.
+type Workspace struct {
+	qr householder
+	a  Matrix
+	y  []float64
+	x  []float64
 }
 
 // SolveLS returns x minimizing ‖A·x − b‖₂ (QR-based, numerically stable).
+// A and b are not modified.
 func SolveLS(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
+	return new(Workspace).SolveLS(a, b)
 }
 
 // SolveRidge solves the regularized least-squares problem
 // min ‖A·x − b‖² + λ‖x‖² via the augmented system [A; √λ·I]x = [b; 0].
 // With λ > 0 the system is always full rank.
 func SolveRidge(a *Matrix, b []float64, lambda float64) ([]float64, error) {
+	return new(Workspace).SolveRidge(a, b, lambda)
+}
+
+// SolveLS is the package-level SolveLS in w's storage. The returned slice
+// is w's and is overwritten by the next solve.
+func (w *Workspace) SolveLS(a *Matrix, b []float64) ([]float64, error) {
+	if a.Rows < a.Cols {
+		return nil, fmt.Errorf("linalg: QR needs rows ≥ cols, got %dx%d", a.Rows, a.Cols)
+	}
+	if len(b) != a.Rows {
+		return nil, fmt.Errorf("linalg: QR.Solve: len(b)=%d, want %d", len(b), a.Rows)
+	}
+	w.a.Reshape(a.Rows, a.Cols)
+	copy(w.a.Data, a.Data)
+	w.y = append(w.y[:0], b...)
+	return w.solveWorking()
+}
+
+// SolveRidge is the package-level SolveRidge in w's storage. The returned
+// slice is w's and is overwritten by the next solve.
+func (w *Workspace) SolveRidge(a *Matrix, b []float64, lambda float64) ([]float64, error) {
 	if lambda < 0 {
 		return nil, fmt.Errorf("linalg: SolveRidge: negative lambda %g", lambda)
 	}
 	if lambda == 0 {
-		return SolveLS(a, b)
+		return w.SolveLS(a, b)
 	}
 	m, n := a.Rows, a.Cols
-	aug := NewMatrix(m+n, n)
-	copy(aug.Data[:m*n], a.Data)
+	if len(b) != m {
+		return nil, fmt.Errorf("linalg: SolveRidge: len(b)=%d, want %d", len(b), m)
+	}
+	w.a.Reshape(m+n, n)
+	copy(w.a.Data, a.Data)
+	clear(w.a.Data[m*n:])
 	sq := math.Sqrt(lambda)
 	for j := 0; j < n; j++ {
-		aug.Set(m+j, j, sq)
+		w.a.Set(m+j, j, sq)
 	}
-	bb := make([]float64, m+n)
-	copy(bb, b)
-	return SolveLS(aug, bb)
+	w.y = append(w.y[:0], b...)
+	for j := 0; j < n; j++ {
+		w.y = append(w.y, 0)
+	}
+	return w.solveWorking()
+}
+
+// solveWorking factors w.a in place and solves against w.y.
+func (w *Workspace) solveWorking() ([]float64, error) {
+	if err := w.qr.factor(&w.a); err != nil {
+		return nil, err
+	}
+	w.x = resize(w.x, w.a.Cols)
+	if err := w.qr.solve(w.x, w.y); err != nil {
+		return nil, err
+	}
+	return w.x, nil
+}
+
+// resize returns s with length n, reusing its storage when large enough.
+func resize(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]float64, n)
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"charles/internal/table"
 )
@@ -90,15 +91,23 @@ func (f Feature) Eval(src *table.Table, r int) (float64, error) {
 	}
 }
 
-// key is the canonical identity used in transformation fingerprints.
-func (f Feature) key() string {
+// appendKey appends the feature's canonical identity, used in
+// transformation fingerprints, to b.
+func (f Feature) appendKey(b []byte) []byte {
 	if f.Form == Interaction {
 		// Product commutes: canonicalize the attribute order.
-		a, b := f.Attr, f.Attr2
-		if b < a {
-			a, b = b, a
+		a, c := f.Attr, f.Attr2
+		if c < a {
+			a, c = c, a
 		}
-		return fmt.Sprintf("x(%s,%s)", a, b)
+		b = append(b, "x("...)
+		b = append(b, a...)
+		b = append(b, ',')
+		b = append(b, c...)
+		return append(b, ')')
 	}
-	return fmt.Sprintf("%d(%s)", int(f.Form), f.Attr)
+	b = strconv.AppendInt(b, int64(f.Form), 10)
+	b = append(b, '(')
+	b = append(b, f.Attr...)
+	return append(b, ')')
 }

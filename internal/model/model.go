@@ -7,7 +7,8 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"charles/internal/predicate"
@@ -147,23 +148,32 @@ func (tr Transformation) String() string {
 
 func fmtConst(x float64) string { return fmt.Sprintf("%.6g", x) }
 
-// fingerprint gives a canonical identity, with constants rounded so that
-// numerically indistinguishable transformations collide.
-func (tr Transformation) fingerprint() string {
+// appendFingerprint appends a canonical identity to b, with constants
+// rounded so that numerically indistinguishable transformations collide:
+// the nonzero terms "key*coef" sorted, then "+intercept", joined by '|'
+// (constants as %.6g).
+func (tr Transformation) appendFingerprint(b []byte) []byte {
 	if tr.NoChange {
-		return "id"
+		return append(b, "id"...)
 	}
 	fs := tr.features()
-	parts := make([]string, 0, len(fs)+1)
+	var buf [4]string
+	terms := buf[:0]
 	for i, f := range fs {
 		if tr.Coef[i] == 0 {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s*%.6g", f.key(), tr.Coef[i]))
+		t := f.appendKey(make([]byte, 0, 32))
+		t = append(t, '*')
+		terms = append(terms, string(strconv.AppendFloat(t, tr.Coef[i], 'g', 6, 64)))
 	}
-	sort.Strings(parts)
-	parts = append(parts, fmt.Sprintf("+%.6g", tr.Intercept))
-	return strings.Join(parts, "|")
+	slices.Sort(terms)
+	for _, t := range terms {
+		b = append(b, t...)
+		b = append(b, '|')
+	}
+	b = append(b, '+')
+	return strconv.AppendFloat(b, tr.Intercept, 'g', 6, 64)
 }
 
 // CT is a conditional transformation: the unit of explanation. The condition
@@ -200,11 +210,23 @@ func (s *Summary) Size() int { return len(s.CTs) }
 // Fingerprint identifies semantically equal summaries (order-insensitive).
 func (s *Summary) Fingerprint() string {
 	parts := make([]string, len(s.CTs))
+	var b []byte
 	for i, ct := range s.CTs {
-		parts[i] = ct.Cond.Fingerprint() + "=>" + ct.Tran.fingerprint()
+		b = ct.Cond.AppendFingerprint(b[:0])
+		b = append(b, "=>"...)
+		b = ct.Tran.appendFingerprint(b)
+		parts[i] = string(b)
 	}
-	sort.Strings(parts)
-	return s.Target + "::" + strings.Join(parts, ";;")
+	slices.Sort(parts)
+	b = append(b[:0], s.Target...)
+	b = append(b, "::"...)
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ";;"...)
+		}
+		b = append(b, p...)
+	}
+	return string(b)
 }
 
 // Apply produces the predicted target column: for each source row, the first

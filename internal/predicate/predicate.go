@@ -13,6 +13,8 @@ package predicate
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,16 +138,10 @@ func formatNum(x float64) string {
 	return strconv.FormatFloat(x, 'g', 6, 64)
 }
 
-// key is a canonical form used for fingerprinting, dedup, and the compiled
-// atom-bitmap cache. Built with strconv appends rather than Sprintf — it is
-// called for every atom of every candidate summary — but the output is
-// byte-identical to the historical Sprintf forms.
-func (a Atom) key() string {
-	return string(a.appendKey(make([]byte, 0, len(a.Attr)+24)))
-}
-
-// appendKey appends the canonical form to b. Split out from key so
-// comparisons (atomCompare) can run on stack buffers without allocating.
+// appendKey appends a's canonical form — the identity used for
+// fingerprinting, dedup, and the compiled atom-bitmap cache — to b. Built
+// with strconv appends rather than Sprintf (it runs for every atom of every
+// candidate summary), but byte-identical to the historical Sprintf forms.
 func (a Atom) appendKey(b []byte) []byte {
 	b = append(b, a.Attr...)
 	b = append(b, '|')
@@ -170,9 +166,69 @@ func (a Atom) appendKey(b []byte) []byte {
 	return b
 }
 
-// atomCompare orders atoms by their canonical keys without materializing
-// the key strings (stack buffers; the canonical byte comparison).
+// atomCompare orders atoms by their canonical keys (appendKey), deciding
+// from the attribute bytes, the operator segment and — for categorical
+// atoms — the value string wherever those settle the byte comparison, so
+// the common comparisons format no number. It falls back to comparing the
+// full keys only when they do not (two numeric thresholds, mixed or set
+// values, an attribute name containing '|').
 func atomCompare(a, b Atom) int {
+	// Keys are Attr '|' op '|' value. Compare the attribute segments first.
+	if a.Attr != b.Attr {
+		n := min(len(a.Attr), len(b.Attr))
+		if c := strings.Compare(a.Attr[:n], b.Attr[:n]); c != 0 {
+			return c
+		}
+		// One name is a prefix of the other: that key's '|' meets the
+		// other's next name byte.
+		if len(a.Attr) < len(b.Attr) {
+			if c := cmpByte('|', b.Attr[n]); c != 0 {
+				return c
+			}
+		} else if c := cmpByte(a.Attr[n], '|'); c != 0 {
+			return c
+		}
+		return keyCompare(a, b)
+	}
+	// Then the operator segments with their '|': neither contains another
+	// '|', so unequal segments differ before either ends.
+	var ab, bb [24]byte
+	ao, bo := append(a.appendOp(ab[:0]), '|'), append(b.appendOp(bb[:0]), '|')
+	if c := bytes.Compare(ao, bo); c != 0 {
+		return c
+	}
+	// Same attribute and operator segment: the values decide. A
+	// categorical value is the key's whole tail.
+	if !a.Numeric && !b.Numeric && a.Op != In && b.Op != In {
+		return strings.Compare(a.Str, b.Str)
+	}
+	if a.Numeric && b.Numeric && math.Float64bits(a.Num) == math.Float64bits(b.Num) {
+		return 0
+	}
+	return keyCompare(a, b)
+}
+
+// appendOp appends the operator segment of a's canonical key.
+func (a Atom) appendOp(b []byte) []byte {
+	if !a.Numeric && a.Op == In {
+		return append(b, "in"...)
+	}
+	return strconv.AppendInt(b, int64(a.Op), 10)
+}
+
+func cmpByte(a, b byte) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// keyCompare compares the full canonical keys (stack buffers; the
+// reference order atomCompare reproduces).
+func keyCompare(a, b Atom) int {
 	var ab, bb [48]byte
 	return bytes.Compare(a.appendKey(ab[:0]), b.appendKey(bb[:0]))
 }
@@ -283,68 +339,62 @@ func (p Predicate) Normalize() Predicate {
 	if p.isNormalized() {
 		return p
 	}
-	// The maps are allocated lazily: Normalize runs once per induced leaf
-	// predicate, and most predicates have no numeric bounds to merge.
-	var lt, ge map[string]float64
-	var eqAttr map[string]string
+	// Predicates are bounded at a handful of atoms, so the merge works by
+	// linear scans over one output slice: the deduplicated non-bound atoms,
+	// then the tightest ≥ bound per attribute, then the tightest < bound.
+	atoms := make([]Atom, 0, len(p.Atoms))
 	for _, a := range p.Atoms {
-		if !a.Numeric && a.Op == Eq {
-			if eqAttr == nil {
-				eqAttr = map[string]string{}
-			}
-			eqAttr[a.Attr] = a.Str
+		if a.Numeric && (a.Op == Lt || a.Op == Ge) {
+			continue
 		}
-	}
-	var rest []Atom
-	var seen map[string]bool
-	for _, a := range p.Atoms {
-		switch {
-		case a.Numeric && a.Op == Lt:
-			if cur, ok := lt[a.Attr]; !ok || a.Num < cur {
-				if lt == nil {
-					lt = map[string]float64{}
-				}
-				lt[a.Attr] = a.Num
-			}
-		case a.Numeric && a.Op == Ge:
-			if cur, ok := ge[a.Attr]; !ok || a.Num > cur {
-				if ge == nil {
-					ge = map[string]float64{}
-				}
-				ge[a.Attr] = a.Num
-			}
-		default:
-			if !a.Numeric && a.Op == Ne {
-				if v, ok := eqAttr[a.Attr]; ok && v != a.Str {
-					continue // implied by the equality on this attribute
-				}
-			}
-			k := a.key()
-			if !seen[k] {
-				if seen == nil {
-					seen = map[string]bool{}
-				}
-				seen[k] = true
-				rest = append(rest, a)
+		if !a.Numeric && a.Op == Ne {
+			if v, ok := lastEq(p.Atoms, a.Attr); ok && v != a.Str {
+				continue // implied by the equality on this attribute
 			}
 		}
+		if !slices.ContainsFunc(atoms, func(b Atom) bool { return atomCompare(a, b) == 0 }) {
+			atoms = append(atoms, a)
+		}
 	}
-	var atoms []Atom
-	atoms = append(atoms, rest...)
-	for attr, v := range ge {
-		atoms = append(atoms, NumAtom(attr, Ge, v))
-	}
-	for attr, v := range lt {
-		atoms = append(atoms, NumAtom(attr, Lt, v))
-	}
-	// Insertion sort with the allocation-free comparator: condition
-	// predicates are bounded at a handful of atoms.
+	atoms = appendBounds(atoms, p.Atoms, Ge)
+	atoms = appendBounds(atoms, p.Atoms, Lt)
+	// Insertion sort with the allocation-free comparator.
 	for i := 1; i < len(atoms); i++ {
 		for j := i; j > 0 && atomCompare(atoms[j-1], atoms[j]) > 0; j-- {
 			atoms[j-1], atoms[j] = atoms[j], atoms[j-1]
 		}
 	}
 	return Predicate{Atoms: atoms}
+}
+
+// lastEq returns the value of the last categorical equality on attr.
+func lastEq(atoms []Atom, attr string) (string, bool) {
+	for i := len(atoms) - 1; i >= 0; i-- {
+		if a := atoms[i]; !a.Numeric && a.Op == Eq && a.Attr == attr {
+			return a.Str, true
+		}
+	}
+	return "", false
+}
+
+// appendBounds appends to out, per attribute in first-seen order, the
+// tightest numeric bound with operator op (Lt: the least threshold, Ge: the
+// greatest) among atoms.
+func appendBounds(out, atoms []Atom, op Op) []Atom {
+	start := len(out)
+	for _, a := range atoms {
+		if !a.Numeric || a.Op != op {
+			continue
+		}
+		i := slices.IndexFunc(out[start:], func(b Atom) bool { return b.Attr == a.Attr })
+		switch {
+		case i < 0:
+			out = append(out, NumAtom(a.Attr, op, a.Num))
+		case op == Lt && a.Num < out[start+i].Num, op == Ge && a.Num > out[start+i].Num:
+			out[start+i].Num = a.Num
+		}
+	}
+	return out
 }
 
 // isNormalized reports whether Normalize would return p unchanged: atoms
@@ -389,13 +439,18 @@ func (p Predicate) String() string {
 
 // Fingerprint returns a canonical identity string (normalization applied),
 // so semantically equal predicates compare equal.
-func (p Predicate) Fingerprint() string {
-	n := p.Normalize()
-	keys := make([]string, len(n.Atoms))
-	for i, a := range n.Atoms {
-		keys[i] = a.key()
+func (p Predicate) Fingerprint() string { return string(p.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends the fingerprint to b: the normalized atoms'
+// canonical keys joined by '&'.
+func (p Predicate) AppendFingerprint(b []byte) []byte {
+	for i, a := range p.Normalize().Atoms {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = a.appendKey(b)
 	}
-	return strings.Join(keys, "&")
+	return b
 }
 
 // Equal reports semantic equality via fingerprints.

@@ -42,48 +42,72 @@ type Model struct {
 	MAE  float64 // mean absolute error (the paper's L1 accuracy basis)
 }
 
+// Workspace is reusable fitting storage: the design matrix, the solver's
+// QR scratch, and FitRobust's residual, keep and trimmed-row buffers. A
+// caller that fits many small models (the engine fits one per candidate
+// partition) keeps one and allocates nothing per fit once its buffers have
+// grown. The zero value is ready to use; a Workspace is not safe for
+// concurrent use.
+type Workspace struct {
+	ls      linalg.Workspace
+	design  linalg.Matrix
+	resid   []float64
+	keep    []bool
+	newKeep []bool
+	tx      [][]float64
+	ty      []float64
+}
+
 // Fit computes the least-squares model of y on the feature matrix x
 // (x[i][j] = feature j of row i). Rows containing NaN/Inf in x or y are
 // rejected with an error: the table layer is responsible for filtering.
 func Fit(x [][]float64, y []float64, opts Options) (*Model, error) {
+	m := new(Model)
+	if err := new(Workspace).Fit(m, x, y, opts); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Fit is the package-level Fit in w's storage. It writes the model into m,
+// reusing m.Coef's storage; on error m is unchanged.
+func (w *Workspace) Fit(m *Model, x [][]float64, y []float64, opts Options) error {
 	n := len(y)
 	if len(x) != n {
-		return nil, fmt.Errorf("regress: %d feature rows vs %d targets", len(x), n)
+		return fmt.Errorf("regress: %d feature rows vs %d targets", len(x), n)
 	}
 	if n == 0 {
-		return nil, ErrDegenerate
+		return ErrDegenerate
 	}
-	d := 0
-	if n > 0 {
-		d = len(x[0])
-	}
+	d := len(x[0])
 	p := d
 	if opts.Intercept {
 		p++
 	}
 	if n < p && opts.Ridge == 0 {
-		return nil, ErrDegenerate
+		return ErrDegenerate
 	}
 	for i := 0; i < n; i++ {
 		if len(x[i]) != d {
-			return nil, fmt.Errorf("regress: ragged feature row %d (%d vs %d)", i, len(x[i]), d)
+			return fmt.Errorf("regress: ragged feature row %d (%d vs %d)", i, len(x[i]), d)
 		}
 		for _, v := range x[i] {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("regress: non-finite feature at row %d", i)
+				return fmt.Errorf("regress: non-finite feature at row %d", i)
 			}
 		}
 		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
-			return nil, fmt.Errorf("regress: non-finite target at row %d", i)
+			return fmt.Errorf("regress: non-finite target at row %d", i)
 		}
 	}
 
 	// Degenerate but legal: zero features + intercept = fit the mean.
 	if p == 0 {
-		return nil, ErrDegenerate
+		return ErrDegenerate
 	}
 
-	a := linalg.NewMatrix(n, p)
+	a := &w.design
+	a.Reshape(n, p)
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
 			a.Set(i, j, x[i][j])
@@ -95,25 +119,31 @@ func Fit(x [][]float64, y []float64, opts Options) (*Model, error) {
 	var beta []float64
 	var err error
 	if n >= p {
-		beta, err = linalg.SolveLS(a, y)
+		beta, err = w.ls.SolveLS(a, y)
 		if errors.Is(err, linalg.ErrSingular) && opts.Ridge > 0 {
-			beta, err = linalg.SolveRidge(a, y, opts.Ridge)
+			beta, err = w.ls.SolveRidge(a, y, opts.Ridge)
 		}
 	} else {
 		// Fewer rows than parameters: only the ridge-regularized problem is
 		// well posed (its augmented system is square-or-tall by design).
-		beta, err = linalg.SolveRidge(a, y, opts.Ridge)
+		beta, err = w.ls.SolveRidge(a, y, opts.Ridge)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("regress: %w", err)
+		return fmt.Errorf("regress: %w", err)
 	}
 
-	m := &Model{Coef: beta[:d], N: n}
+	if m.Coef == nil || cap(m.Coef) < d {
+		m.Coef = make([]float64, d)
+	}
+	m.Coef = m.Coef[:d]
+	copy(m.Coef, beta)
+	m.Intercept = 0
 	if opts.Intercept {
 		m.Intercept = beta[d]
 	}
+	m.N = n
 	m.computeDiagnostics(x, y)
-	return m, nil
+	return nil
 }
 
 // Predict evaluates the model on one feature vector.

@@ -40,27 +40,39 @@ func (o RobustOptions) withDefaults() RobustOptions {
 //
 // The returned keep mask marks the rows used in the final fit.
 func FitRobust(x [][]float64, y []float64, opts RobustOptions) (*Model, []bool, error) {
-	opts = opts.withDefaults()
-	m, err := Fit(x, y, opts.Base)
+	m := new(Model)
+	keep, err := new(Workspace).FitRobust(m, x, y, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	return m, keep, nil
+}
+
+// FitRobust is the package-level FitRobust in w's storage. It writes the
+// model into m (on error m is unchanged); the keep mask is w's and is
+// overwritten by the next robust fit.
+func (w *Workspace) FitRobust(m *Model, x [][]float64, y []float64, opts RobustOptions) ([]bool, error) {
+	opts = opts.withDefaults()
+	if err := w.Fit(m, x, y, opts.Base); err != nil {
+		return nil, err
+	}
 	n := len(y)
-	keep := make([]bool, n)
+	keep := resizeBools(&w.keep, n)
 	for i := range keep {
 		keep[i] = true
 	}
 	maxTrim := int(opts.MaxTrimFrac * float64(n))
 	if maxTrim == 0 {
-		return m, keep, nil
+		return keep, nil
 	}
 	for round := 0; round < opts.Rounds; round++ {
-		resid := make([]float64, 0, n)
+		resid := w.resid[:0]
 		for i := range y {
 			if keep[i] {
 				resid = append(resid, math.Abs(y[i]-m.Predict(x[i])))
 			}
 		}
+		w.resid = resid
 		mad := median(resid)
 		// All-but-exact fits: use a floor so numeric dust is not "outlying".
 		floor := 1e-9 * scaleAbs(y)
@@ -69,7 +81,7 @@ func FitRobust(x [][]float64, y []float64, opts RobustOptions) (*Model, []bool, 
 			cut = floor
 		}
 		trimmed := 0
-		newKeep := make([]bool, n)
+		newKeep := resizeBools(&w.newKeep, n)
 		for i := range y {
 			newKeep[i] = keep[i]
 			if keep[i] && math.Abs(y[i]-m.Predict(x[i])) > cut {
@@ -89,32 +101,41 @@ func FitRobust(x [][]float64, y []float64, opts RobustOptions) (*Model, []bool, 
 		if total > maxTrim {
 			break // too many outliers: distrust the trimming, keep the fit
 		}
-		var tx [][]float64
-		var ty []float64
+		tx, ty := w.tx[:0], w.ty[:0]
 		for i := range y {
 			if newKeep[i] {
 				tx = append(tx, x[i])
 				ty = append(ty, y[i])
 			}
 		}
-		m2, err := Fit(tx, ty, opts.Base)
-		if err != nil {
+		w.tx, w.ty = tx, ty
+		if err := w.Fit(m, tx, ty, opts.Base); err != nil {
 			break
 		}
-		m = m2
 		keep = newKeep
+		w.keep, w.newKeep = w.newKeep, w.keep
 	}
 	// Diagnostics over all rows, so MAE reflects what the model explains
 	// including the rows it refused to chase.
 	m.Refit(x, y)
-	return m, keep, nil
+	return keep, nil
 }
 
+// resizeBools returns *buf resized to n, growing it when too small.
+func resizeBools(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// median returns the median of xs, sorting xs in place.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
+	s := xs
 	sort.Float64s(s)
 	mid := len(s) / 2
 	if len(s)%2 == 1 {

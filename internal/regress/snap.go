@@ -23,7 +23,10 @@ type SnapOptions struct {
 //
 // It returns a new model; m is unchanged. Snapping proceeds coordinate-wise
 // from the coarsest candidate to the finest, greedily keeping the coarsest
-// acceptable rounding per coefficient (jointly validated at the end).
+// acceptable rounding per coefficient (jointly validated at the end). The
+// trials run in place on the returned model: a rejected candidate is
+// restored before the next, and only the coefficients matter to a trial's
+// error (diagnostics are recomputed at the end).
 func Snap(m *Model, x [][]float64, y []float64, opts SnapOptions) *Model {
 	if opts.Tolerance <= 0 || len(y) == 0 {
 		return m.Clone()
@@ -43,20 +46,20 @@ func Snap(m *Model, x [][]float64, y []float64, opts SnapOptions) *Model {
 	best := m.Clone()
 	// Try snapping each parameter independently, coarsest first; accept a
 	// candidate when the resulting model stays within the error budget.
+	var buf [maxRoundCandidates]float64
 	params := len(m.Coef) + 1
 	for p := 0; p < params; p++ {
 		orig := getParam(best, p)
-		for _, cand := range RoundCandidates(orig) {
+		for _, cand := range roundCandidates(orig, &buf) {
 			if cand == orig {
 				break // already normal
 			}
-			trial := best.Clone()
-			setParam(trial, p, cand)
-			trial.Refit(x, y)
-			if trial.MAE <= m.MAE+budget {
-				best = trial
+			setParam(best, p, cand)
+			best.Refit(x, y)
+			if best.MAE <= m.MAE+budget {
 				break
 			}
+			setParam(best, p, orig)
 		}
 	}
 	best.Refit(x, y)
@@ -78,46 +81,84 @@ func setParam(m *Model, p int, v float64) {
 	}
 }
 
+// maxRoundCandidates bounds RoundCandidates' output: zero, five roundings
+// and x itself.
+const maxRoundCandidates = 7
+
 // RoundCandidates returns rounded versions of x ordered from coarsest to
 // finest: zero first (the most normal constant of all — it removes a term),
 // then 1–5 significant digits. The final candidate is x itself. Zero maps
-// to just {0}.
+// to just {0}. Every candidate is distinct, and finite when x is.
 func RoundCandidates(x float64) []float64 {
+	var buf [maxRoundCandidates]float64
+	return append([]float64(nil), roundCandidates(x, &buf)...)
+}
+
+// roundCandidates is RoundCandidates into a caller-owned array.
+func roundCandidates(x float64, buf *[maxRoundCandidates]float64) []float64 {
+	out := buf[:0]
 	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return []float64{x}
+		return append(out, x)
 	}
-	out := []float64{0}
-	seen := map[float64]bool{0: true}
-	// Round to 1..5 significant digits.
+	out = append(out, 0)
+	// Round to 1..5 significant digits. A rounding that reproduces x ends
+	// the list there: finer ones cannot be more normal (Snap stops at x).
 	for digits := 1; digits <= 5; digits++ {
 		r := RoundSig(x, digits)
-		if !seen[r] {
-			seen[r] = true
+		if r == x {
+			break
+		}
+		if !contains(out, r) {
 			out = append(out, r)
 		}
 	}
-	if !seen[x] {
-		out = append(out, x)
+	return append(out, x)
+}
+
+func contains(s []float64, v float64) bool {
+	for _, u := range s {
+		if u == v {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 // RoundSig rounds x to the given number of significant decimal digits.
 // Negative powers of ten are applied by division (10⁵ is exact in binary
 // floating point, 10⁻⁵ is not), so rounding 185000 to one digit yields
-// exactly 200000 rather than 199999.99999999997.
+// exactly 200000 rather than 199999.99999999997. Tiny magnitudes — where
+// the scale 10^p overflows, or x is subnormal and Log10 misjudges its
+// magnitude — are rounded as x·10³⁰⁰ and scaled back (decimal rounding
+// commutes with the scaling). When the rounded value would leave the finite
+// range (1.7e308 to one digit), x itself is returned.
 func RoundSig(x float64, digits int) float64 {
-	if x == 0 {
-		return 0
+	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+		return x
+	}
+	if math.Abs(x) < minNormal {
+		return RoundSig(x*1e300, digits) / 1e300
 	}
 	p := float64(digits-1) - math.Floor(math.Log10(math.Abs(x)))
+	var r float64
 	if p >= 0 {
 		mag := math.Pow(10, p)
-		return math.Round(x*mag) / mag
+		if math.IsInf(mag, 0) {
+			return RoundSig(x*1e300, digits) / 1e300
+		}
+		r = math.Round(x*mag) / mag
+	} else {
+		div := math.Pow(10, -p)
+		r = math.Round(x/div) * div
 	}
-	div := math.Pow(10, -p)
-	return math.Round(x/div) * div
+	if math.IsInf(r, 0) {
+		return x
+	}
+	return r
 }
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
 
 // Roundness scores how "normal" a constant looks, in [0,1]: 1 for values
 // that are already 1–2 significant digits (10%, 0.05, 1000), decreasing as
