@@ -330,7 +330,10 @@ func TestRefineClustersConvergesToAffineGroups(t *testing.T) {
 			labels[i] = 1
 		}
 	}
-	refined := new(partitioner).refineClusters(labels, rows, fm, newVals, 2)
+	refined, converged := new(partitioner).refineClusters(labels, rows, fm, newVals, 2)
+	if !converged {
+		t.Error("refinement did not converge")
+	}
 	// All rows of one true group must share a label.
 	label0 := refined[0]
 	label1 := refined[1]

@@ -50,11 +50,11 @@ func (p *partitioner) seedAndRefine(signal []float64, rows []int, fm *featMat, n
 		if err != nil {
 			return nil, err
 		}
-		labels := km.Labels
+		labels, fitted := km.Labels, false
 		if !noRefine {
-			labels = p.refineClusters(km.Labels, rows, fm, newVals, k)
+			labels, fitted = p.refineClusters(km.Labels, rows, fm, newVals, k)
 		}
-		total := p.totalAbsError(labels, rows, fm, newVals, k)
+		total := p.totalAbsError(labels, rows, fm, newVals, k, fitted)
 		if total < bestErr-1e-9 {
 			bestErr = total
 			// labels is p.cur or the k-means workspace's, which the next
@@ -66,9 +66,13 @@ func (p *partitioner) seedAndRefine(signal []float64, rows []int, fm *featMat, n
 	return bestLabels, nil
 }
 
-// totalAbsError sums each row's absolute error under its cluster's model.
-func (p *partitioner) totalAbsError(labels []int, rows []int, fm *featMat, newVals []float64, k int) float64 {
-	p.fitClusterModels(labels, rows, fm, newVals, k)
+// totalAbsError sums each row's absolute error under its cluster's model,
+// fitting the models first unless fitted says p.models already hold the
+// fit of exactly these labels.
+func (p *partitioner) totalAbsError(labels []int, rows []int, fm *featMat, newVals []float64, k int, fitted bool) float64 {
+	if !fitted {
+		p.fitClusterModels(labels, rows, fm, newVals, k)
+	}
 	total := 0.0
 	for i, r := range rows {
 		c := labels[i]
@@ -85,12 +89,14 @@ func (p *partitioner) totalAbsError(labels []int, rows []int, fm *featMat, newVa
 // the cluster whose model predicts its new value best). labels[i] is the
 // cluster of rows[i]; feats and newVals are indexed by table row.
 // The refined labels (same indexing as labels) are returned; the input
-// slice is not modified.
-func (p *partitioner) refineClusters(labels []int, rows []int, fm *featMat, newVals []float64, k int) []int {
+// slice is not modified. fitted reports that the loop converged (its last
+// pass moved no row), so p.models are the fit of exactly the returned
+// labels.
+func (p *partitioner) refineClusters(labels []int, rows []int, fm *featMat, newVals []float64, k int) (refined []int, fitted bool) {
 	p.cur = append(p.cur[:0], labels...)
 	cur := p.cur
 	if k <= 1 || len(rows) <= 1 {
-		return cur
+		return cur, false
 	}
 	for iter := 0; iter < refineMaxIters; iter++ {
 		p.fitClusterModels(cur, rows, fm, newVals, k)
@@ -129,10 +135,10 @@ func (p *partitioner) refineClusters(labels []int, rows []int, fm *featMat, newV
 			}
 		}
 		if !changed {
-			break
+			return cur, true
 		}
 	}
-	return cur
+	return cur, false
 }
 
 // clusterSizes counts the rows per cluster into p.sizes.

@@ -15,14 +15,6 @@ type Matrix struct {
 	Data       []float64 // len == Rows*Cols
 }
 
-// NewMatrix allocates a zero matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("linalg: invalid dimensions %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
 // Reshape makes m a rows×cols matrix, reusing its storage when it is large
 // enough. The entries are left unspecified; callers overwrite all of them.
 func (m *Matrix) Reshape(rows, cols int) {
@@ -37,33 +29,8 @@ func (m *Matrix) Reshape(rows, cols int) {
 	}
 }
 
-// FromRows builds a matrix from row slices (all must share a length).
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: row %d has %d entries, want %d", i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns m[i,j].
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns m[i,j] = v.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Dot returns ⟨a,b⟩.
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"charles/internal/core"
 )
 
 // Stats is a snapshot of the result cache's counters. Hits are requests
@@ -34,6 +36,24 @@ type resultCache struct {
 	calls map[string]*call         // in-flight computations
 
 	hits, misses, executions, evictions int64
+}
+
+// stepResult is the LRU value of one (from, to, options) engine run: the
+// ranking POST /summarize answers with and, once a timeline answer has
+// needed them, the wire bytes of the step's "ranked" array, encoded at most
+// once and copied into every later answer that includes the step.
+type stepResult struct {
+	ranked []core.Ranked
+	once   sync.Once
+	wire   []byte
+	err    error
+}
+
+// wireRanked returns the step's encoded "ranked" array (see
+// encodeRankedWire), encoding it on first use.
+func (r *stepResult) wireRanked() ([]byte, error) {
+	r.once.Do(func() { r.wire, r.err = encodeRankedWire(EncodeRanked(r.ranked)) })
+	return r.wire, r.err
 }
 
 type entry struct {

@@ -4,6 +4,13 @@
 package serve
 
 import (
+	"encoding/json"
+	"net/http"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+
 	"charles/internal/core"
 	"charles/internal/model"
 	"charles/internal/score"
@@ -109,4 +116,157 @@ func EncodeRanked(ranked []core.Ranked) []RankedJSON {
 		}
 	}
 	return out
+}
+
+// rankedPrefix is the indentation of a step's "ranked" field in a
+// POST /timeline body: targets → target → steps → step puts the field five
+// levels deep.
+var rankedPrefix = strings.Repeat("  ", 5)
+
+// encodeRankedWire encodes a step's ranking as it appears after `"ranked": `
+// in an indented POST /timeline body, so the bytes can be copied into every
+// answer that includes the step.
+func encodeRankedWire(ranked []RankedJSON) ([]byte, error) {
+	return json.MarshalIndent(ranked, rankedPrefix, "  ")
+}
+
+// writeTimeline writes tb as a 200 POST /timeline body. Like writeJSON, it
+// writes no body when a value cannot be encoded.
+func writeTimeline(w http.ResponseWriter, tb *timelineBody) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if tb.err != nil {
+		return
+	}
+	_, _ = w.Write(tb.appendJSON(nil))
+}
+
+// appendJSON appends the body in the layout writeJSON's indented
+// json.Encoder gives the wire struct (the head, versions, steps, live,
+// cached, targets and skipped fields; omitempty fields left out when
+// empty; a timeline always has versions and steps, and no targets when no
+// numeric attribute changed), copying each step's ranked bytes in. Strings
+// go through json.Marshal, so their escaping is encoding/json's.
+func (tb *timelineBody) appendJSON(b []byte) []byte {
+	n := 512 + 64*len(tb.versions)
+	for _, t := range tb.targets {
+		n += 256 + 128*len(t.drifts)
+		for _, st := range t.steps {
+			n += 256 + len(st.ranked)
+		}
+	}
+	b = slices.Grow(b, n)
+	b = append(b, "{\n  \"head\": "...)
+	b = appendString(b, tb.head)
+	b = append(b, ",\n  \"versions\": ["...)
+	for i, v := range tb.versions {
+		b = appendSep(b, i, "    ")
+		b = appendString(b, v)
+	}
+	b = appendClose(b, len(tb.versions), "  ")
+	b = append(b, ",\n  \"steps\": "...)
+	b = strconv.AppendInt(b, int64(tb.steps), 10)
+	if tb.live {
+		b = append(b, ",\n  \"live\": true"...)
+	}
+	if tb.cached {
+		b = append(b, ",\n  \"cached\": true"...)
+	}
+	b = append(b, ",\n  \"targets\": "...)
+	if tb.targets == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range tb.targets {
+			b = appendSep(b, i, "    ")
+			b = tb.targets[i].appendJSON(b)
+		}
+		b = appendClose(b, len(tb.targets), "  ")
+	}
+	if len(tb.skipped) > 0 {
+		keys := make([]string, 0, len(tb.skipped))
+		for k := range tb.skipped {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b = append(b, ",\n  \"skipped\": {"...)
+		for i, k := range keys {
+			b = appendSep(b, i, "    ")
+			b = appendString(b, k)
+			b = append(b, ": "...)
+			b = appendString(b, tb.skipped[k])
+		}
+		b = append(b, "\n  }"...)
+	}
+	return append(b, "\n}\n"...)
+}
+
+// appendJSON appends one element of the body's "targets" array.
+func (t *timelineTarget) appendJSON(b []byte) []byte {
+	b = append(b, "{\n      \"target\": "...)
+	b = appendString(b, t.name)
+	b = append(b, ",\n      \"steps\": ["...)
+	for i, st := range t.steps {
+		b = appendSep(b, i, "        ")
+		b = append(b, "{\n          \"from\": "...)
+		b = appendString(b, st.from)
+		b = append(b, ",\n          \"to\": "...)
+		b = appendString(b, st.to)
+		if st.noChange {
+			b = append(b, ",\n          \"noChange\": true"...)
+		}
+		if st.cached {
+			b = append(b, ",\n          \"cached\": true"...)
+		}
+		if len(st.ranked) > 0 {
+			b = append(b, ",\n          \"ranked\": "...)
+			b = append(b, st.ranked...)
+		}
+		b = append(b, "\n        }"...)
+	}
+	b = appendClose(b, len(t.steps), "      ")
+	if len(t.drifts) > 0 {
+		b = append(b, ",\n      \"drifts\": ["...)
+		for i, d := range t.drifts {
+			b = appendSep(b, i, "        ")
+			b = append(b, "{\n          \"stepA\": "...)
+			b = strconv.AppendInt(b, int64(d.StepA), 10)
+			b = append(b, ",\n          \"stepB\": "...)
+			b = strconv.AppendInt(b, int64(d.StepB), 10)
+			b = append(b, ",\n          \"samePartitioning\": "...)
+			b = strconv.AppendBool(b, d.SamePartitioning)
+			b = append(b, ",\n          \"note\": "...)
+			b = appendString(b, d.Note)
+			b = append(b, "\n        }"...)
+		}
+		b = append(b, "\n      ]"...)
+	}
+	return append(b, "\n    }"...)
+}
+
+// appendSep starts element i of an indented array or object whose
+// elements sit at indent.
+func appendSep(b []byte, i int, indent string) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, '\n')
+	return append(b, indent...)
+}
+
+// appendClose ends an indented array of n elements whose opening line
+// sits at indent; an empty one stays "[]".
+func appendClose(b []byte, n int, indent string) []byte {
+	if n > 0 {
+		b = append(b, '\n')
+		b = append(b, indent...)
+	}
+	return append(b, ']')
+}
+
+// appendString appends s as a JSON string, escaped as encoding/json
+// escapes it.
+func appendString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always encodes
+	return append(b, q...)
 }

@@ -5,9 +5,10 @@
 // incremental step cannot apply — schema change, missed notes, branch
 // switch) plus a bounded ring of watch events fanned out to /timeline/watch
 // subscribers. Head-relative POST /timeline answers are assembled from the
-// maintainer and memoized whole-response keyed by the head version id, so a
-// warm answer costs one cache lookup regardless of chain length — the
-// "query answering under updates" discipline applied end to end.
+// maintainer's steps, each encoded once, and memoized keyed by the head
+// version id, so a warm answer costs one cache lookup regardless of chain
+// length — the "query answering under updates" discipline applied end to
+// end.
 
 package serve
 
@@ -102,6 +103,7 @@ type liveShard struct {
 
 	mu       sync.Mutex
 	maint    *history.TimelineMaintainer // nil until a ≥2-version chain exists
+	steps    *stepIndex                  // the step results maint's memo recorded
 	head     string                      // last observed head version id
 	seq      int64                       // event sequence, 1-based
 	events   []watchEvent                // ring of the last liveEventRing events
@@ -206,10 +208,11 @@ func (s *Server) applyCommit(ls *liveShard, st *store.Store, v *store.Version) s
 		// fall through to the rebuild.
 	}
 	if mode == "" {
-		if m, err := s.rebuildMaintainer(st, ls.key+"|", v.ID); err == nil {
-			ls.maint, mode = m, "rebuild"
+		idx := new(stepIndex)
+		if m, err := s.rebuildMaintainer(st, ls.key+"|", v.ID, idx); err == nil {
+			ls.maint, ls.steps, mode = m, idx, "rebuild"
 		} else {
-			ls.maint, mode = nil, "skip"
+			ls.maint, ls.steps, mode = nil, nil, "skip"
 		}
 	}
 	ls.head = v.ID
@@ -219,8 +222,9 @@ func (s *Server) applyCommit(ls *liveShard, st *store.Store, v *store.Version) s
 
 // rebuildMaintainer builds a maintainer from scratch over head's full chain
 // — the fallback when the one-step extension cannot apply. The commit pump
-// has no request context to bound it with.
-func (s *Server) rebuildMaintainer(st *store.Store, prefix, head string) (*history.TimelineMaintainer, error) {
+// has no request context to bound it with. Its memo records every step
+// result in idx.
+func (s *Server) rebuildMaintainer(st *store.Store, prefix, head string, idx *stepIndex) (*history.TimelineMaintainer, error) {
 	ids, err := chainIDs(st, head)
 	if err != nil {
 		return nil, err
@@ -229,7 +233,7 @@ func (s *Server) rebuildMaintainer(st *store.Store, prefix, head string) (*histo
 	if err != nil {
 		return nil, err
 	}
-	return history.NewTimelineMaintainer(mats, ids, core.DefaultOptions(""), s.stepMemo(prefix, nil))
+	return history.NewTimelineMaintainer(mats, ids, core.DefaultOptions(""), s.stepMemo(prefix, idx))
 }
 
 // publishLocked (caller holds ls.mu) appends one event to the ring and fans
@@ -442,9 +446,11 @@ func writeSSE(w io.Writer, event string, v any) error {
 
 // handleLiveTimeline answers the head-relative all-defaults POST /timeline
 // from the shard's maintained timeline: resolve the head, assemble (or
-// reuse) the maintainer's state for it, and memoize the whole response
+// reuse) the maintainer's state for it, and memoize the assembled answer
 // keyed by the head version id — a warm answer is one cache lookup, no
-// engine work, no chain walk, regardless of lineage length.
+// engine work, no chain walk, regardless of lineage length. The first
+// answer for a new head encodes only the steps no earlier answer encoded
+// (after a commit, the new one); the rest are copied.
 func (s *Server) handleLiveTimeline(sh *shardRef, w http.ResponseWriter, r *http.Request) {
 	hv, err := sh.st.Head()
 	if err != nil {
@@ -458,55 +464,56 @@ func (s *Server) handleLiveTimeline(sh *shardRef, w http.ResponseWriter, r *http
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		mt, ids, err := s.liveTimelineAt(ctx, sh, ls, hv.ID)
+		mt, ids, idx, err := s.liveTimelineAt(ctx, sh, ls, hv.ID)
 		if err != nil {
 			return nil, err
 		}
-		resp := encodeTimeline(ids, mt, nil)
-		resp.Live = true
-		return resp, nil
+		tb := newTimelineBody(ids, mt, idx, false)
+		tb.live = true
+		return &tb, nil
 	})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	resp := val.(timelineResponse)
-	resp.Cached = hit
-	writeJSON(w, http.StatusOK, resp)
+	tb := *val.(*timelineBody)
+	tb.cached = hit
+	writeTimeline(w, &tb)
 }
 
-// liveTimelineAt returns the maintained MultiTimeline for head, building or
-// rebuilding the shard's maintainer when needed, every step through the
-// result LRU (which a build therefore also warms for pair questions). A
-// maintainer that has already advanced past head (a commit raced the
-// request) answers from its prefix, so the reader still gets a consistent
-// timeline for the head it resolved.
-func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard, head string) (*history.MultiTimeline, []string, error) {
+// liveTimelineAt returns the maintained MultiTimeline for head and the
+// index of its step results, building or rebuilding the shard's maintainer
+// when needed, every step through the result LRU (which a build therefore
+// also warms for pair questions). A maintainer that has already advanced
+// past head (a commit raced the request) answers from its prefix, so the
+// reader still gets a consistent timeline for the head it resolved.
+func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard, head string) (*history.MultiTimeline, []string, *stepIndex, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.maint != nil {
 		if ls.maint.Head() == head {
-			return ls.maint.Timeline(), ls.maint.Versions(), nil
+			return ls.maint.Timeline(), ls.maint.Versions(), ls.steps, nil
 		}
 		if mt, ids, ok := ls.maint.TimelineAt(head); ok {
-			return mt, ids, nil
+			return mt, ids, ls.steps, nil
 		}
 	}
 	ids, err := chainIDs(sh.st, head)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	mats, err := history.MaterializeChainContext(ctx, sh.st, ids)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	m, err := history.NewTimelineMaintainerContext(ctx, mats, ids, core.DefaultOptions(""), s.stepMemo(sh.cacheKeyPrefix(), nil))
+	idx := new(stepIndex)
+	m, err := history.NewTimelineMaintainerContext(ctx, mats, ids, core.DefaultOptions(""), s.stepMemo(sh.cacheKeyPrefix(), idx))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	ls.maint = m
+	ls.maint, ls.steps = m, idx
 	if ls.head == "" {
 		ls.head = head
 	}
-	return m.Timeline(), m.Versions(), nil
+	return m.Timeline(), m.Versions(), idx, nil
 }

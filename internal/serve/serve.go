@@ -811,7 +811,11 @@ func (s *Server) handleSummarize(sh *shardRef, w http.ResponseWriter, r *http.Re
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return sh.st.Summarize(req.From, req.To, opts)
+		ranked, err := sh.st.Summarize(req.From, req.To, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &stepResult{ranked: ranked}, nil
 	})
 	if err != nil {
 		writeError(w, err)
@@ -821,7 +825,7 @@ func (s *Server) handleSummarize(sh *shardRef, w http.ResponseWriter, r *http.Re
 		From: req.From, To: req.To, Target: req.Target,
 		OptionsFingerprint: fp,
 		Cached:             hit,
-		Ranked:             EncodeRanked(val.([]core.Ranked)),
+		Ranked:             EncodeRanked(val.(*stepResult).ranked),
 	})
 }
 

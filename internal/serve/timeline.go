@@ -23,44 +23,6 @@ type timelineRequest struct {
 	TopK   *int     `json:"topk,omitempty"`
 }
 
-// timelineStepJSON is one consecutive version pair of one target's timeline.
-type timelineStepJSON struct {
-	From     string       `json:"from"`
-	To       string       `json:"to"`
-	NoChange bool         `json:"noChange,omitempty"`
-	Cached   bool         `json:"cached,omitempty"`
-	Ranked   []RankedJSON `json:"ranked,omitempty"`
-}
-
-// driftJSON mirrors history.Drift.
-type driftJSON struct {
-	StepA            int    `json:"stepA"`
-	StepB            int    `json:"stepB"`
-	SamePartitioning bool   `json:"samePartitioning"`
-	Note             string `json:"note"`
-}
-
-// timelineTargetJSON is one attribute's summarized evolution.
-type timelineTargetJSON struct {
-	Target string             `json:"target"`
-	Steps  []timelineStepJSON `json:"steps"`
-	Drifts []driftJSON        `json:"drifts,omitempty"`
-}
-
-// timelineResponse is the POST /timeline body. Live reports the answer was
-// assembled from the commit-maintained timeline (head-relative all-default
-// requests; see live.go) rather than a request-time chain walk; Cached
-// reports a live answer served whole from the memo for the same head.
-type timelineResponse struct {
-	Head     string               `json:"head"`
-	Versions []string             `json:"versions"` // root → head
-	Steps    int                  `json:"steps"`
-	Live     bool                 `json:"live,omitempty"`
-	Cached   bool                 `json:"cached,omitempty"`
-	Targets  []timelineTargetJSON `json:"targets"`
-	Skipped  map[string]string    `json:"skipped,omitempty"`
-}
-
 // handleTimeline summarizes the store lineage root → head. The
 // head-relative all-defaults question is answered from the live maintained
 // timeline (see live.go); an explicit head, target or tuning field walks
@@ -109,16 +71,14 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 	if req.TopK != nil {
 		base.TopK = *req.TopK
 	}
-	var hits sync.Map // from|to|target of every run the LRU answered
-	mt, err := history.SummarizeChainContext(r.Context(), sh.st, ids, base, s.stepMemo(sh.cacheKeyPrefix(), &hits))
+	idx := new(stepIndex)
+	mt, err := history.SummarizeChainContext(r.Context(), sh.st, ids, base, s.stepMemo(sh.cacheKeyPrefix(), idx))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, encodeTimeline(ids, mt, func(from, to, target string) bool {
-		_, ok := hits.Load(from + "|" + to + "|" + target)
-		return ok
-	}))
+	tb := newTimelineBody(ids, mt, idx, true)
+	writeTimeline(w, &tb)
 }
 
 // chainIDs resolves head's lineage to its version ids, root → head; a
@@ -141,55 +101,109 @@ func chainIDs(st *store.Store, head string) ([]string, error) {
 // stepMemo backs timeline walks and live maintainers with the result LRU:
 // each (from, to, options) engine run is cached under prefix plus the key
 // POST /summarize uses, so walks, maintainers and pair questions share
-// results, and stepHook runs on every miss. hits, when non-nil, records
-// from|to|target for each run the LRU answered.
-func (s *Server) stepMemo(prefix string, hits *sync.Map) history.Memo {
+// results, and stepHook runs on every miss. Every result the memo returns
+// is recorded in idx, with whether the LRU answered it.
+func (s *Server) stepMemo(prefix string, idx *stepIndex) history.Memo {
 	return func(from, to string, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error) {
 		val, hit, err := s.cache.Do(prefix+from+"|"+to+"|"+opts.Fingerprint(), func() (any, error) {
 			if s.stepHook != nil {
 				s.stepHook()
 			}
-			return run()
+			ranked, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return &stepResult{ranked: ranked}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if hit && hits != nil {
-			hits.Store(from+"|"+to+"|"+opts.Target, true)
-		}
-		return val.([]core.Ranked), nil
+		res := val.(*stepResult)
+		idx.store(from, to, opts.Target, stepRef{res: res, hit: hit})
+		return res.ranked, nil
 	}
 }
 
-// encodeTimeline renders a MultiTimeline over the version ids as the wire
-// timelineResponse, one target per summarized attribute with its per-step
-// rankings and drift notes. cached, when non-nil, sets each step's cached
-// flag.
-func encodeTimeline(ids []string, mt *history.MultiTimeline, cached func(from, to, target string) bool) timelineResponse {
-	resp := timelineResponse{
-		Head: ids[len(ids)-1], Versions: ids, Steps: mt.Steps, Skipped: mt.Skipped,
+// stepIndex records the step results one walk or one live maintainer got
+// from its memo, so the timeline writer can find each step's wire bytes.
+// Step runs record concurrently.
+type stepIndex struct{ m sync.Map } // from|to|target → stepRef
+
+func (x *stepIndex) store(from, to, target string, ref stepRef) {
+	x.m.Store(from+"|"+to+"|"+target, ref)
+}
+
+func (x *stepIndex) load(from, to, target string) (stepRef, bool) {
+	v, ok := x.m.Load(from + "|" + to + "|" + target)
+	if !ok {
+		return stepRef{}, false
 	}
+	return v.(stepRef), true
+}
+
+// stepRef is one recorded step result; hit reports that the LRU answered
+// it.
+type stepRef struct {
+	res *stepResult
+	hit bool
+}
+
+// timelineBody is a POST /timeline answer ready to write: the small glue
+// fields, and for every step the wire bytes of its "ranked" array, shared
+// with every other answer that includes the step.
+type timelineBody struct {
+	head     string
+	versions []string // root → head
+	steps    int
+	// live reports the answer was assembled from the commit-maintained
+	// timeline (head-relative all-default requests; see live.go) rather
+	// than a request-time chain walk; cached reports a live answer served
+	// from the memo for the same head.
+	live, cached bool
+	targets      []timelineTarget
+	skipped      map[string]string
+	err          error // a step's ranking could not be encoded
+}
+
+// timelineTarget is one attribute's summarized evolution.
+type timelineTarget struct {
+	name   string
+	steps  []timelineStep
+	drifts []history.Drift
+}
+
+// timelineStep is one consecutive version pair of one target's timeline.
+// ranked is the step's encoded "ranked" array, nil when it has none.
+type timelineStep struct {
+	from, to         string
+	noChange, cached bool
+	ranked           []byte
+}
+
+// newTimelineBody assembles the answer for mt over the version ids, one
+// target per summarized attribute with its steps and drift notes. Each
+// step's ranking is written from the stepResult idx recorded for it, so it
+// is encoded at most once however many answers include it. stepCached sets
+// each step's cached flag from whether the LRU answered its run.
+func newTimelineBody(ids []string, mt *history.MultiTimeline, idx *stepIndex, stepCached bool) timelineBody {
+	tb := timelineBody{head: ids[len(ids)-1], versions: ids, steps: mt.Steps, skipped: mt.Skipped}
 	for _, attr := range mt.Attrs {
 		tl := mt.Timelines[attr]
-		tj := timelineTargetJSON{Target: attr}
-		for _, hs := range tl.Steps {
-			sj := timelineStepJSON{
-				From: ids[hs.From], To: ids[hs.To],
-				NoChange: hs.NoChange, Ranked: EncodeRanked(hs.Ranked),
+		tt := timelineTarget{name: attr, steps: make([]timelineStep, len(tl.Steps)), drifts: tl.Drifts()}
+		for i, hs := range tl.Steps {
+			st := timelineStep{from: ids[hs.From], to: ids[hs.To], noChange: hs.NoChange}
+			if ref, ok := idx.load(st.from, st.to, attr); ok {
+				st.cached = stepCached && ref.hit
+				if len(hs.Ranked) > 0 {
+					var err error
+					if st.ranked, err = ref.res.wireRanked(); err != nil {
+						tb.err = err
+					}
+				}
 			}
-			if cached != nil {
-				sj.Cached = cached(sj.From, sj.To, attr)
-			}
-			tj.Steps = append(tj.Steps, sj)
+			tt.steps[i] = st
 		}
-		for _, d := range tl.Drifts() {
-			tj.Drifts = append(tj.Drifts, driftJSON{
-				StepA: d.StepA, StepB: d.StepB,
-				SamePartitioning: d.SamePartitioning,
-				Note:             d.Note,
-			})
-		}
-		resp.Targets = append(resp.Targets, tj)
+		tb.targets = append(tb.targets, tt)
 	}
-	return resp
+	return tb
 }
