@@ -23,6 +23,8 @@
 package charles
 
 import (
+	"errors"
+
 	"charles/internal/assist"
 	"charles/internal/core"
 	"charles/internal/diff"
@@ -197,27 +199,30 @@ type Drift = history.Drift
 type MultiTimeline = history.MultiTimeline
 
 // SummarizeTimeline extends ChARLES from a snapshot pair to a snapshot
-// sequence D₁…Dₙ: each consecutive step is summarized and the timeline can
-// report policy drift between steps.
+// sequence D₁…Dₙ for the one attribute opts.Target: each consecutive step
+// is summarized on the bounded step pool of SummarizeTimelineAll, steps
+// where the target did not move are marked NoChange without an engine run,
+// and the timeline can report policy drift between steps. An empty,
+// unknown or categorical target is an error.
 func SummarizeTimeline(snapshots []*Table, opts Options) (*Timeline, error) {
-	return history.Summarize(snapshots, opts)
+	if opts.Target == "" {
+		return nil, errors.New("charles: SummarizeTimeline needs a target attribute (SummarizeTimelineAll covers every attribute)")
+	}
+	mt, err := history.SummarizeAll(snapshots, opts)
+	if err != nil {
+		return nil, err
+	}
+	return mt.Timelines[opts.Target], nil
 }
 
 // SummarizeTimelineAll summarizes an entire snapshot chain across all
 // changed numeric attributes: steps run concurrently on a pool bounded by
 // base.Workers, each consecutive pair is aligned exactly once, and all
 // targets of a pair share one PairContext. A non-empty base.Target narrows
-// the walk to that attribute (see SummarizeTimelineTarget); the other
-// fields supply the shared parameters, exactly as in SummarizeAll.
+// the walk to that attribute (see SummarizeTimeline); the other fields
+// supply the shared parameters, exactly as in SummarizeAll.
 func SummarizeTimelineAll(snapshots []*Table, base Options) (*MultiTimeline, error) {
 	return history.SummarizeAll(snapshots, base)
-}
-
-// SummarizeTimelineTarget summarizes a single attribute across the chain on
-// the same bounded step pool, skipping the engine on steps where the target
-// did not move — the cheap path when only one attribute matters.
-func SummarizeTimelineTarget(snapshots []*Table, target string, base Options) (*Timeline, error) {
-	return history.SummarizeTarget(snapshots, target, base)
 }
 
 // PairContext carries the target-independent derived state of one aligned

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -167,17 +168,22 @@ func benchLiveExtend(b *testing.B, steps int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ids := make([]string, len(snaps))
-	for i := range ids {
-		ids[i] = fmt.Sprintf("v%03d", i)
-	}
-	base := charles.DefaultOptions("")
-	base.CondAttrs = []string{"dept", "grade"}
-	m, err := charles.NewTimelineMaintainer(snaps[:len(snaps)-1], ids[:len(ids)-1], base)
+	st, err := charles.OpenStore("")
 	if err != nil {
 		b.Fatal(err)
 	}
-	last, lastID := snaps[len(snaps)-1], ids[len(ids)-1]
+	ids := commitChain(b, st, snaps)
+	base := charles.DefaultOptions("")
+	base.CondAttrs = []string{"dept", "grade"}
+	m, err := charles.NewTimelineMaintainer(context.Background(), st, ids[:len(ids)-1], base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lastID := ids[len(ids)-1]
+	last, err := st.Checkout(lastID)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -203,15 +209,8 @@ func benchStoreChain50(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	parent := ""
-	var head string
-	for _, snap := range snaps {
-		v, err := st.Commit(snap, parent, "step")
-		if err != nil {
-			b.Fatal(err)
-		}
-		parent, head = v.ID, v.ID
-	}
+	ids := commitChain(b, st, snaps)
+	head := ids[len(ids)-1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,6 +226,23 @@ func benchStoreChain50(b *testing.B) {
 	}
 }
 
+// commitChain commits snaps into st as one lineage and returns the version
+// ids, root → head.
+func commitChain(b *testing.B, st *charles.VersionStore, snaps []*charles.Table) []string {
+	b.Helper()
+	ids := make([]string, 0, len(snaps))
+	parent := ""
+	for _, snap := range snaps {
+		v, err := st.Commit(snap, parent, "step")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+		parent = v.ID
+	}
+	return ids
+}
+
 // diffChainStore commits the 50-step chain into a memory store that keeps
 // the whole chain delta-encoded and warms every cache with one pass over the
 // adjacent pairs.
@@ -240,16 +256,7 @@ func diffChainStore(b *testing.B) (*charles.VersionStore, []string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ids := make([]string, 0, len(snaps))
-	parent := ""
-	for _, snap := range snaps {
-		v, err := st.Commit(snap, parent, "step")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, v.ID)
-		parent = v.ID
-	}
+	ids := commitChain(b, st, snaps)
 	for i := 0; i+1 < len(ids); i++ {
 		if _, native, err := st.DiffResult(ids[i], ids[i+1], 1e-9); err != nil || !native {
 			b.Fatalf("pair %d: native=%v err=%v", i, native, err)

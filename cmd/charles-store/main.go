@@ -46,6 +46,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -437,29 +438,16 @@ func cmdTimeline(st *charles.VersionStore, reopen reopenFunc, args []string) {
 	for i, v := range chain {
 		ids[i] = v.ID
 	}
-	base := charles.DefaultOptions("")
+	base := charles.DefaultOptions(*target)
 	base.Alpha = *alpha
 	base.TopK = *topk
-	if *target != "" {
-		// Single-target: check the chain out (cache-served) and run only
-		// that attribute's engine passes, with up-front target validation.
-		snaps := make([]*charles.Table, len(ids))
-		for i, vid := range ids {
-			var err error
-			if snaps[i], err = st.Checkout(vid); err != nil {
-				fatal(err)
-			}
-		}
-		tl, err := charles.SummarizeTimelineTarget(snaps, *target, base)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(tl.Render())
-		return
-	}
-	mt, err := charles.SummarizeTimelineChain(st, ids, base)
+	mt, err := charles.SummarizeTimelineChain(context.Background(), st, ids, base)
 	if err != nil {
 		fatal(err)
+	}
+	if *target != "" {
+		fmt.Print(mt.Timelines[*target].Render())
+		return
 	}
 	fmt.Print(mt.Render())
 }
@@ -539,12 +527,7 @@ func followRebuild(st *charles.VersionStore, ids []string, base charles.Options)
 		fmt.Printf("head %s: waiting for a second version to summarize\n", ids[len(ids)-1])
 		return nil
 	}
-	snaps, err := charles.MaterializeVersions(st, ids)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "charles-store: follow:", err)
-		return nil
-	}
-	m, err := charles.NewTimelineMaintainer(snaps, ids, base)
+	m, err := charles.NewTimelineMaintainer(context.Background(), st, ids, base)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charles-store: follow:", err)
 		return nil

@@ -238,7 +238,8 @@ func runTimeline(args []string) {
 
 	if *target != "" {
 		// Single-target path: only this attribute's steps run the engine.
-		tl, err := charles.SummarizeTimelineTarget(snaps, *target, opts)
+		opts.Target = *target
+		tl, err := charles.SummarizeTimeline(snaps, opts)
 		if err != nil {
 			fatal(err)
 		}

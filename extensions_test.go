@@ -85,6 +85,30 @@ func TestSummarizeTimelinePublic(t *testing.T) {
 	}
 }
 
+// TestSummarizeTimelineSingleTarget pins the single-target walk's contract:
+// a step where the target did not move is NoChange with no engine ranking,
+// and an empty, unknown or categorical target is an error, never a nil
+// timeline.
+func TestSummarizeTimelineSingleTarget(t *testing.T) {
+	d1, d2 := ToyDataset()
+	snaps := []*Table{d1, d2, d2.Clone()}
+	tl, err := SummarizeTimeline(snaps, DefaultOptions("bonus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quiet := tl.Steps[1]; !quiet.NoChange || len(quiet.Ranked) != 0 {
+		t.Errorf("unchanged step = %+v, want NoChange without a ranking", quiet)
+	}
+	if len(tl.Steps[0].Ranked) == 0 || tl.Steps[0].NoChange {
+		t.Errorf("change step = %+v, want a ranking", tl.Steps[0])
+	}
+	for _, target := range []string{"", "ghost", "edu"} {
+		if tl, err := SummarizeTimeline(snaps, DefaultOptions(target)); err == nil || tl != nil {
+			t.Errorf("target %q: timeline %v, err %v; want an error", target, tl, err)
+		}
+	}
+}
+
 func TestNonlinearPublicOption(t *testing.T) {
 	d, err := NonlinearDataset(31, 600)
 	if err != nil {

@@ -7,14 +7,15 @@
 //     caller's cancellation — the serving lifecycle depends on one context
 //     flowing from the HTTP request down through the timeline walk, so a
 //     Background() in the middle would quietly make the tail of the walk
-//     uncancellable. Deliberate shims (the non-Context compatibility
-//     wrappers in internal/history, the lifecycle's drain contexts) carry a
-//     lint:allow directive documenting why they own a root context.
+//     uncancellable. Deliberate roots (the two ctx-less entry points
+//     internal/history keeps for the benchmark module, the server's
+//     lifetime context, the lifecycle's drain contexts) carry a lint:allow
+//     directive documenting why they own a root context.
 //
 //  2. Inside a function that receives a ctx, calling a same-package sibling
 //     F when a ctx-accepting variant FContext exists drops the caller's
-//     context on the floor — the exact rot mode the compatibility wrappers
-//     invite. The call must go to FContext(ctx, ...).
+//     context on the floor — the rot mode a ctx-less wrapper beside its
+//     Context twin invites. The call must go to FContext(ctx, ...).
 package ctxflow
 
 import (
@@ -64,7 +65,7 @@ func run(pass *analysis.Pass) error {
 			}
 			if pkg, name, ok := analysis.SelectorCall(call); ok && pkg == ctxName && (name == "Background" || name == "TODO") {
 				pass.Reportf(call.Pos(),
-					"context.%s() in library code severs the caller's cancellation; accept a ctx parameter (lint:allow ctxflow for deliberate compatibility shims)", name)
+					"context.%s() in library code severs the caller's cancellation; accept a ctx parameter (lint:allow ctxflow for deliberate root contexts)", name)
 			}
 			return true
 		})

@@ -48,32 +48,6 @@ type Timeline struct {
 	Steps  []Step
 }
 
-// Summarize runs the engine over every consecutive pair of snapshots. All
-// snapshots must share the schema and entity set of the first; opts.Target
-// selects the attribute. Steps where the target did not change are marked
-// rather than summarized.
-func Summarize(snapshots []*table.Table, opts core.Options) (*Timeline, error) {
-	if len(snapshots) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 snapshots, got %d", len(snapshots))
-	}
-	tl := &Timeline{Target: opts.Target}
-	for i := 0; i+1 < len(snapshots); i++ {
-		ranked, err := core.Summarize(snapshots[i], snapshots[i+1], opts)
-		if err != nil {
-			return nil, fmt.Errorf("history: step %d→%d: %w", i, i+1, err)
-		}
-		step := Step{From: i, To: i + 1, Ranked: ranked}
-		// The engine tags its "nothing changed" result explicitly; trust
-		// that signal instead of inferring it from summary shape (a real
-		// change step can legitimately rank a single summary).
-		if len(ranked) > 0 && ranked[0].NoChange {
-			step.NoChange = true
-		}
-		tl.Steps = append(tl.Steps, step)
-	}
-	return tl, nil
-}
-
 // MultiTimeline is the summarized evolution of every changed numeric
 // attribute across a snapshot sequence — the batch form of Timeline.
 type MultiTimeline struct {
@@ -97,27 +71,21 @@ type MultiTimeline struct {
 // ranking on a miss.
 type Memo func(from, to string, opts core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error)
 
-// SummarizeAll summarizes an entire version chain: base.Target when it is
-// set, otherwise every changed numeric attribute. Each consecutive snapshot
-// pair is aligned exactly once, the targets of a pair run through one shared
-// core.PairContext (one atom cache and one split index per pair, regardless
-// of how many targets it has), and the steps are fanned out over a worker
-// pool bounded by base.Workers (0 = GOMAXPROCS). When the step pool is
-// parallel, each engine run is single-threaded so total concurrency stays at
-// the bound rather than squaring it; a single-step chain gets the full
-// budget inside the one engine run. The engine's rankings do not depend on
-// its worker count and steps are merged in step order, so the result is the
-// same at every bound.
+// SummarizeAll summarizes an entire version chain held in memory:
+// base.Target when it is set, otherwise every changed numeric attribute. An
+// explicit target is validated against the root snapshot up front, and
+// steps where it did not move run no engine (they read NoChange with no
+// Ranked entry). Each consecutive snapshot pair is aligned exactly once, the
+// targets of a pair run through one shared core.PairContext (one atom cache
+// and one split index per pair, regardless of how many targets it has), and
+// the steps are fanned out over a worker pool bounded by base.Workers (0 =
+// GOMAXPROCS). When the step pool is parallel, each engine run is
+// single-threaded so total concurrency stays at the bound rather than
+// squaring it; a single-step chain gets the full budget inside the one
+// engine run. The engine's rankings do not depend on its worker count and
+// steps are merged in step order, so the result is the same at every bound.
 func SummarizeAll(snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
-	return SummarizeAllContext(context.Background(), snapshots, base) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeAllContext
-}
-
-// SummarizeAllContext is SummarizeAll bounded by ctx: a cancelled or expired
-// context stops the step pool from dispatching further steps and further
-// engine runs, and returns the context's error. A run already in progress
-// finishes (the engine itself is not preemptible) before the pool drains.
-func SummarizeAllContext(ctx context.Context, snapshots []*table.Table, base core.Options) (*MultiTimeline, error) {
-	results, err := walk(ctx, snapshots, nil, base, nil)
+	results, err := walk(context.TODO(), snapshots, nil, base, nil) //lint:allow ctxflow kept ctx-less for the benchmark module and the in-memory facade; store-backed walks take a ctx through SummarizeChain
 	if err != nil {
 		return nil, err
 	}
@@ -172,13 +140,13 @@ type SnapshotAdmitter interface {
 // plain CheckoutSources fall back to a regular checkout per id. The returned
 // tables are identical to per-id checkouts, row order included.
 func MaterializeChain(src CheckoutSource, ids []string) ([]*table.Table, error) {
-	return MaterializeChainContext(context.Background(), src, ids) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls MaterializeChainContext
+	return materialize(context.TODO(), src, ids) //lint:allow ctxflow kept ctx-less for the benchmark module; walks materialize under their own ctx
 }
 
-// MaterializeChainContext is MaterializeChain bounded by ctx: the walk
-// checks for cancellation before each version, so a caller abandoning a
-// long chain stops paying for checkouts it will never read.
-func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []string) ([]*table.Table, error) {
+// materialize is MaterializeChain bounded by ctx: the walk checks for
+// cancellation before each version, so a caller abandoning a long chain
+// stops paying for checkouts it will never read.
+func materialize(ctx context.Context, src CheckoutSource, ids []string) ([]*table.Table, error) {
 	out := make([]*table.Table, len(ids))
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
@@ -189,7 +157,7 @@ func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []stri
 		if i > 0 {
 			prevID, prev = ids[i-1], out[i-1]
 		}
-		t, err := MaterializeStep(src, prevID, prev, id)
+		t, err := materializeStep(src, prevID, prev, id)
 		if err != nil {
 			return nil, err
 		}
@@ -198,11 +166,11 @@ func MaterializeChainContext(ctx context.Context, src CheckoutSource, ids []stri
 	return out, nil
 }
 
-// MaterializeStep materializes one version delta-natively when possible:
+// materializeStep materializes one version delta-natively when possible:
 // the cached-table path first, then applying id's ChangeSet to prev (the
 // already materialized snapshot of prevID, id's parent; nil at a chain
 // root), then a plain checkout.
-func MaterializeStep(src CheckoutSource, prevID string, prev *table.Table, id string) (*table.Table, error) {
+func materializeStep(src CheckoutSource, prevID string, prev *table.Table, id string) (*table.Table, error) {
 	if cc, ok := src.(CachedCheckoutSource); ok {
 		if t, ok := cc.CheckoutCached(id); ok {
 			return t, nil
@@ -231,32 +199,20 @@ func MaterializeStep(src CheckoutSource, prevID string, prev *table.Table, id st
 	return t, nil
 }
 
-// SummarizeChain materializes the given version ids in order through src —
-// delta-natively when src is a DeltaSource: one checkout at the chain root,
-// then step-by-step application of each version's ChangeSet — and
-// summarizes the chain exactly as SummarizeAll does. It is the store-backed
-// batch timeline: ids usually come from Store.Chain(head).
-func SummarizeChain(src CheckoutSource, ids []string, base core.Options) (*MultiTimeline, error) {
-	return SummarizeChainContext(context.Background(), src, ids, base, nil) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls SummarizeChainContext
-}
-
-// SummarizeChainContext is SummarizeChain bounded by ctx (both the chain
-// materialization and the step pool observe cancellation), with every
-// engine run going through memo under its step's version ids; a nil memo
-// runs the engine directly.
-func SummarizeChainContext(ctx context.Context, src CheckoutSource, ids []string, base core.Options, memo Memo) (*MultiTimeline, error) {
-	if len(ids) < 2 {
-		return nil, fmt.Errorf("history: need at least 2 versions, got %d", len(ids))
-	}
-	snapshots, err := MaterializeChainContext(ctx, src, ids)
+// SummarizeChain is the store-backed walk: it materializes the given
+// version ids in order through src — delta-natively when src is a
+// DeltaSource: one checkout at the chain root, then step-by-step
+// application of each version's ChangeSet — and summarizes the chain
+// exactly as SummarizeAll does, base.Target included. Both the
+// materialization and the step pool observe ctx, and every engine run goes
+// through memo under its step's version ids (nil runs the engine directly).
+// ids usually come from Store.Chain(head).
+func SummarizeChain(ctx context.Context, src CheckoutSource, ids []string, base core.Options, memo Memo) (*MultiTimeline, error) {
+	m, err := NewTimelineMaintainer(ctx, src, ids, base, memo)
 	if err != nil {
 		return nil, err
 	}
-	results, err := walk(ctx, snapshots, ids, base, memo)
-	if err != nil {
-		return nil, err
-	}
-	return mergeSteps(snapshots[0], results, base.Target), nil
+	return m.Timeline(), nil
 }
 
 // walk runs summarizeStep over every consecutive pair of snapshots on the
@@ -372,19 +328,6 @@ func forEachStep(ctx context.Context, steps int, base core.Options, fn func(i in
 		}
 	}
 	return nil
-}
-
-// SummarizeTarget summarizes one attribute across the chain: SummarizeAll
-// with base.Target set, so the target is validated up front and steps where
-// it did not move run no engine (they read NoChange with no Ranked entry,
-// rather than the engine's explicit no-change result).
-func SummarizeTarget(snapshots []*table.Table, target string, base core.Options) (*Timeline, error) {
-	base.Target = target
-	mt, err := SummarizeAll(snapshots, base)
-	if err != nil {
-		return nil, err
-	}
-	return mt.Timelines[target], nil
 }
 
 // summarizeStep is the one per-step function behind every timeline walk and

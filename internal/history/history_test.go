@@ -1,6 +1,7 @@
 package history
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,12 +22,24 @@ func threeSnapshots(t *testing.T) []*table.Table {
 	return []*table.Table{d1, d2, d3}
 }
 
-func TestTimelineSummarizesEachStep(t *testing.T) {
-	snaps := threeSnapshots(t)
-	tl, err := Summarize(snaps, core.DefaultOptions("bonus"))
+// targetTimeline walks snaps with SummarizeAll narrowed to opts.Target and
+// returns that attribute's timeline.
+func targetTimeline(t *testing.T, snaps []*table.Table, opts core.Options) *Timeline {
+	t.Helper()
+	mt, err := SummarizeAll(snaps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl, ok := mt.Timelines[opts.Target]
+	if !ok {
+		t.Fatalf("no timeline for target %q (attrs %v)", opts.Target, mt.Attrs)
+	}
+	return tl
+}
+
+func TestTimelineSummarizesEachStep(t *testing.T) {
+	snaps := threeSnapshots(t)
+	tl := targetTimeline(t, snaps, core.DefaultOptions("bonus"))
 	if len(tl.Steps) != 2 {
 		t.Fatalf("steps = %d", len(tl.Steps))
 	}
@@ -46,11 +59,11 @@ func TestTimelineSummarizesEachStep(t *testing.T) {
 
 func TestTimelineValidation(t *testing.T) {
 	d1, _ := gen.Toy()
-	if _, err := Summarize([]*table.Table{d1}, core.DefaultOptions("bonus")); err == nil {
+	if _, err := SummarizeAll([]*table.Table{d1}, core.DefaultOptions("bonus")); err == nil {
 		t.Error("single snapshot accepted")
 	}
 	other := table.MustNew(table.Schema{{Name: "x", Type: table.Int}})
-	if _, err := Summarize([]*table.Table{d1, other}, core.DefaultOptions("bonus")); err == nil {
+	if _, err := SummarizeAll([]*table.Table{d1, other}, core.DefaultOptions("bonus")); err == nil {
 		t.Error("schema drift accepted")
 	}
 }
@@ -58,10 +71,7 @@ func TestTimelineValidation(t *testing.T) {
 func TestDriftDetection(t *testing.T) {
 	// D1→D2 applies the policy, D2→D3 applies nothing: activity toggles.
 	snaps := threeSnapshots(t)
-	tl, err := Summarize(snaps, core.DefaultOptions("bonus"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := targetTimeline(t, snaps, core.DefaultOptions("bonus"))
 	drifts := tl.Drifts()
 	if len(drifts) != 1 {
 		t.Fatalf("drifts = %d", len(drifts))
@@ -92,10 +102,7 @@ func TestDriftPolicyHeld(t *testing.T) {
 	opts := core.DefaultOptions("pay")
 	opts.CondAttrs = d.CondAttrs
 	opts.TranAttrs = d.TranAttrs
-	tl, err := Summarize([]*table.Table{d.Src, d.Tgt, d3}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := targetTimeline(t, []*table.Table{d.Src, d.Tgt, d3}, opts)
 	drifts := tl.Drifts()
 	if len(drifts) != 1 {
 		t.Fatalf("drifts = %d", len(drifts))
@@ -107,10 +114,7 @@ func TestDriftPolicyHeld(t *testing.T) {
 
 func TestRender(t *testing.T) {
 	snaps := threeSnapshots(t)
-	tl, err := Summarize(snaps, core.DefaultOptions("bonus"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := targetTimeline(t, snaps, core.DefaultOptions("bonus"))
 	out := tl.Render()
 	for _, want := range []string{"evolution of bonus", "step 0 → 1", "step 1 → 2", "(no change)", "drift:"} {
 		if !strings.Contains(out, want) {
@@ -122,15 +126,13 @@ func TestRender(t *testing.T) {
 // TestOneSummaryChangeStepNotMarkedNoChange is a regression test for the old
 // no-change heuristic (`len(ranked) == 1 && Size() == 0`): a genuine change
 // step that happens to rank exactly one summary must not read as no-change.
-// The engine's explicit Ranked.NoChange signal is authoritative.
+// A step is NoChange only when the target did not move; the engine's own
+// explicit no-change result is pinned in core (TestNaNOnlyChangesNotReportedNoChange).
 func TestOneSummaryChangeStepNotMarkedNoChange(t *testing.T) {
 	d1, d2 := gen.Toy()
 	opts := core.DefaultOptions("bonus")
 	opts.TopK = 1 // force a one-summary result on a real change step
-	tl, err := Summarize([]*table.Table{d1, d2, d2.Clone()}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := targetTimeline(t, []*table.Table{d1, d2, d2.Clone()}, opts)
 	step := tl.Steps[0]
 	if len(step.Ranked) != 1 {
 		t.Fatalf("want exactly one ranked summary, got %d", len(step.Ranked))
@@ -144,9 +146,9 @@ func TestOneSummaryChangeStepNotMarkedNoChange(t *testing.T) {
 	if step.Ranked[0].NoChange {
 		t.Error("engine tagged a change result as NoChange")
 	}
-	// And the genuine no-change step carries the explicit engine signal.
+	// And the genuine no-change step is marked without an engine run.
 	quiet := tl.Steps[1]
-	if !quiet.NoChange || len(quiet.Ranked) != 1 || !quiet.Ranked[0].NoChange {
+	if !quiet.NoChange || len(quiet.Ranked) != 0 {
 		t.Errorf("no-change step signal: step=%+v", quiet)
 	}
 }
@@ -177,11 +179,7 @@ func TestEmptyRankedStepGuards(t *testing.T) {
 		t.Error("empty steps cannot claim same partitioning")
 	}
 	// Mixed: one real step, one empty — also must not panic.
-	snaps := threeSnapshots(t)
-	real, err := Summarize(snaps, core.DefaultOptions("bonus"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	real := targetTimeline(t, threeSnapshots(t), core.DefaultOptions("bonus"))
 	mixed := &Timeline{Target: "bonus", Steps: []Step{real.Steps[0], {From: 1, To: 2}}}
 	if out := mixed.Render(); !strings.Contains(out, "(no summary recovered)") {
 		t.Errorf("mixed render missing empty-step note:\n%s", out)
@@ -395,10 +393,11 @@ func TestSummarizeAllValidation(t *testing.T) {
 	}
 }
 
-// TestSummarizeTargetMatchesSequential pins the parallel single-target path
-// to the sequential reference: engine steps bit-identical, unchanged steps
-// short-circuited to NoChange without an engine run.
-func TestSummarizeTargetMatchesSequential(t *testing.T) {
+// TestSummarizeAllTargetMatchesSequential pins the parallel single-target path
+// (SummarizeAll with base.Target set) to the sequential reference: engine
+// steps bit-identical, unchanged steps short-circuited to NoChange without
+// an engine run.
+func TestSummarizeAllTargetMatchesSequential(t *testing.T) {
 	snaps, err := gen.Chain(gen.ChainConfig{N: 60, Steps: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -406,10 +405,9 @@ func TestSummarizeTargetMatchesSequential(t *testing.T) {
 	base := chainOpts()
 	base.Workers = 4
 	for _, target := range []string{"salary", "overtime"} {
-		tl, err := SummarizeTarget(snaps, target, base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opts := base
+		opts.Target = target
+		tl := targetTimeline(t, snaps, opts)
 		if len(tl.Steps) != len(snaps)-1 {
 			t.Fatalf("%s: steps = %d", target, len(tl.Steps))
 		}
@@ -446,25 +444,25 @@ func TestSummarizeTargetMatchesSequential(t *testing.T) {
 		}
 	}
 	// overtime changes only on even steps: the timeline must show that.
-	tl, err := SummarizeTarget(snaps, "overtime", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, step := range tl.Steps {
+	base.Target = "overtime"
+	for i, step := range targetTimeline(t, snaps, base).Steps {
 		if want := (i+1)%2 == 0; step.NoChange == want {
 			t.Errorf("overtime step %d: NoChange = %v", i, step.NoChange)
 		}
 	}
 	// Validation mirrors the batch path.
-	if _, err := SummarizeTarget(snaps[:1], "salary", base); err == nil {
+	base.Target = "salary"
+	if _, err := SummarizeAll(snaps[:1], base); err == nil {
 		t.Error("single snapshot accepted")
 	}
-	if _, err := SummarizeTarget(snaps, "ghost", base); err == nil {
+	base.Target = "ghost"
+	if _, err := SummarizeAll(snaps, base); err == nil {
 		t.Error("unknown target accepted")
 	}
 	// A categorical target errors up front instead of yielding a plausible
 	// all-no-change timeline (the serve layer 400s the same request).
-	if _, err := SummarizeTarget(snaps, "dept", base); err == nil {
+	base.Target = "dept"
+	if _, err := SummarizeAll(snaps, base); err == nil {
 		t.Error("categorical target accepted")
 	}
 }
@@ -495,7 +493,7 @@ func TestSummarizeChainMatchesSummarizeAll(t *testing.T) {
 	}
 	base := core.DefaultOptions("")
 	base.CondAttrs = []string{"dept", "grade"}
-	got, err := SummarizeChain(st, ids, base)
+	got, err := SummarizeChain(context.Background(), st, ids, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,17 +511,17 @@ func TestSummarizeChainMatchesSummarizeAll(t *testing.T) {
 		t.Error("SummarizeChain differs from SummarizeAll over the checked-out snapshots")
 	}
 	parses := st.Stats().Parses
-	if _, err := SummarizeChain(st, ids, base); err != nil {
+	if _, err := SummarizeChain(context.Background(), st, ids, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	if again := st.Stats().Parses; again != parses {
 		t.Errorf("second chain walk parsed %d more snapshots, want 0 (cache-served)", again-parses)
 	}
 
-	if _, err := SummarizeChain(st, ids[:1], base); err == nil {
+	if _, err := SummarizeChain(context.Background(), st, ids[:1], base, nil); err == nil {
 		t.Error("single-version chain accepted")
 	}
-	if _, err := SummarizeChain(st, []string{"nope", "nope2"}, base); err == nil || !strings.Contains(err.Error(), "nope") {
+	if _, err := SummarizeChain(context.Background(), st, []string{"nope", "nope2"}, base, nil); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown id err = %v, want the id named", err)
 	}
 }

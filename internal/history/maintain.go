@@ -31,21 +31,20 @@ type TimelineMaintainer struct {
 	results []*core.MultiResult // one per consecutive pair
 }
 
-// NewTimelineMaintainer summarizes the seed chain and returns a maintainer
-// positioned at its head. snapshots and ids must be parallel (root → head)
-// with at least 2 entries. Every engine run of the seed and of later
-// extensions goes through memo (nil runs the engine directly). The
-// snapshots are retained only at the endpoints: first (for schema-ordered
-// merging) and last (the pair source for the next Extend).
-func NewTimelineMaintainer(snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
-	return NewTimelineMaintainerContext(context.Background(), snapshots, ids, base, memo) //lint:allow ctxflow compatibility shim for pre-context callers; new code calls NewTimelineMaintainerContext
-}
-
-// NewTimelineMaintainerContext is NewTimelineMaintainer bounded by ctx (the
-// seed is the same walk as SummarizeAllContext's).
-func NewTimelineMaintainerContext(ctx context.Context, snapshots []*table.Table, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
-	if len(snapshots) != len(ids) {
-		return nil, fmt.Errorf("history: %d snapshots but %d ids", len(snapshots), len(ids))
+// NewTimelineMaintainer materializes the version ids through src (root →
+// head, at least 2; delta-natively, as SummarizeChain does), summarizes the
+// seed chain and returns a maintainer positioned at its head. Both the
+// materialization and the seed's step pool observe ctx. Every engine run of
+// the seed and of later extensions goes through memo (nil runs the engine
+// directly). The snapshots are retained only at the endpoints: first (for
+// schema-ordered merging) and last (the pair source for the next Extend).
+func NewTimelineMaintainer(ctx context.Context, src CheckoutSource, ids []string, base core.Options, memo Memo) (*TimelineMaintainer, error) {
+	if len(ids) < 2 {
+		return nil, fmt.Errorf("history: need at least 2 versions, got %d", len(ids))
+	}
+	snapshots, err := materialize(ctx, src, ids)
+	if err != nil {
+		return nil, err
 	}
 	results, err := walk(ctx, snapshots, ids, base, memo)
 	if err != nil {
@@ -93,7 +92,7 @@ func (m *TimelineMaintainer) Extend(id string, next *table.Table) error {
 // serves delta ops, falling back to a checkout. The maintainer must
 // currently be positioned at the new version's parent.
 func (m *TimelineMaintainer) ExtendFromSource(src CheckoutSource, id string) error {
-	next, err := MaterializeStep(src, m.Head(), m.last, id)
+	next, err := materializeStep(src, m.Head(), m.last, id)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,12 @@
 package history
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"charles/internal/core"
@@ -142,7 +144,7 @@ func TestTimelineMaintainerDifferential(t *testing.T) {
 func maintainerDifferential(t *testing.T, base core.Options) {
 	for seed := int64(1); seed <= 5; seed++ {
 		st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 20, Steps: 5, Seed: seed})
-		m, err := NewTimelineMaintainer(mats[:2], ids[:2], base, nil)
+		m, err := NewTimelineMaintainer(context.Background(), st, ids[:2], base, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -184,7 +186,7 @@ func TestTimelineMaintainerOneStep(t *testing.T) {
 				t.Fatal(err)
 			}
 			ids := []string{"v0", "v1", "v2"}
-			m, err := NewTimelineMaintainer(snaps[:2], ids[:2], base, nil)
+			m, err := NewTimelineMaintainer(context.Background(), newSnapSource(ids, snaps), ids[:2], base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,8 +224,8 @@ func TestTimelineMaintainerPrefixAnswers(t *testing.T) {
 }
 
 func maintainerPrefixAnswers(t *testing.T, base core.Options) {
-	_, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 7})
-	m, err := NewTimelineMaintainer(mats, ids, base, nil)
+	st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 7})
+	m, err := NewTimelineMaintainer(context.Background(), st, ids, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +259,8 @@ func maintainerPrefixAnswers(t *testing.T, base core.Options) {
 // from-scratch rebuild of that suffix.
 func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 	base := maintainBase()
-	st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 3, Seed: 9})
-	m, err := NewTimelineMaintainer(mats, ids, base, nil)
+	st, ids, _ := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 3, Seed: 9})
+	m, err := NewTimelineMaintainer(context.Background(), st, ids, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +296,7 @@ func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := NewTimelineMaintainer(suf, sufIDs, base, nil)
+	rebuilt, err := NewTimelineMaintainer(context.Background(), st, sufIDs, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +316,8 @@ func TestTimelineMaintainerSchemaChangeFallback(t *testing.T) {
 // the original untouched.
 func TestTimelineMaintainerForkIsolation(t *testing.T) {
 	base := maintainBase()
-	st, ids, mats := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 11})
-	m, err := NewTimelineMaintainer(mats[:len(mats)-1], ids[:len(ids)-1], base, nil)
+	st, ids, _ := commitMutateChain(t, gen.FuzzConfig{N: 15, Steps: 4, Seed: 11})
+	m, err := NewTimelineMaintainer(context.Background(), st, ids[:len(ids)-1], base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +338,120 @@ func TestTimelineMaintainerForkIsolation(t *testing.T) {
 func TestTimelineMaintainerValidation(t *testing.T) {
 	base := maintainBase()
 	d1, d2 := gen.Toy()
-	if _, err := NewTimelineMaintainer([]*table.Table{d1, d2}, []string{"only-one"}, base, nil); err == nil {
-		t.Error("mismatched snapshots/ids accepted")
+	src := newSnapSource([]string{"a", "b"}, []*table.Table{d1, d2})
+	if _, err := NewTimelineMaintainer(context.Background(), src, []string{"a"}, base, nil); err == nil {
+		t.Error("single-version seed accepted")
 	}
-	if _, err := NewTimelineMaintainer([]*table.Table{d1}, []string{"a"}, base, nil); err == nil {
-		t.Error("single-snapshot seed accepted")
+	if _, err := NewTimelineMaintainer(context.Background(), src, []string{"a", "nope"}, base, nil); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("unknown version err = %v, want the id named", err)
+	}
+}
+
+// snapSource serves in-memory snapshots by version id, so tests can seed
+// maintainers over chains that were never committed to a store.
+type snapSource map[string]*table.Table
+
+func newSnapSource(ids []string, snaps []*table.Table) snapSource {
+	src := snapSource{}
+	for i, id := range ids {
+		src[id] = snaps[i]
+	}
+	return src
+}
+
+func (s snapSource) Checkout(id string) (*table.Table, error) {
+	if t, ok := s[id]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("unknown version %s", id)
+}
+
+// commitChain commits a gen.Chain lineage into a fresh memory store and
+// returns the store and the version ids, root → head.
+func commitChain(t *testing.T, cfg gen.ChainConfig) (*store.Store, []string) {
+	t.Helper()
+	snaps, err := gen.Chain(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	parent := ""
+	for _, snap := range snaps {
+		v, err := st.Commit(snap, parent, "step")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+		parent = v.ID
+	}
+	return st, ids
+}
+
+// countingMemo is a Memo that counts the engine runs it is asked for and
+// runs each one.
+func countingMemo(runs *atomic.Int64) Memo {
+	return func(_, _ string, _ core.Options, run func() ([]core.Ranked, error)) ([]core.Ranked, error) {
+		runs.Add(1)
+		return run()
+	}
+}
+
+// TestTimelineMaintainerMatchesSummarizeChain pins the store-backed
+// constructor: a maintainer seeded over stored ids must hold exactly the
+// timeline the store-backed walk returns over the same ids, for every
+// target selection, with the same number of engine runs. gen.Chain has no
+// NaN constants, so whole structures compare with reflect.DeepEqual.
+func TestTimelineMaintainerMatchesSummarizeChain(t *testing.T) {
+	st, ids := commitChain(t, gen.ChainConfig{N: 50, Steps: 3, Seed: 6})
+	for _, target := range []string{"", "salary", "overtime"} {
+		base := chainOpts()
+		base.Target = target
+		var mRuns, wRuns atomic.Int64
+		m, err := NewTimelineMaintainer(context.Background(), st, ids, base, countingMemo(&mRuns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SummarizeChain(context.Background(), st, ids, base, countingMemo(&wRuns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.Timeline(), want) {
+			t.Errorf("target %q: maintainer timeline differs from SummarizeChain", target)
+		}
+		if mRuns.Load() == 0 || mRuns.Load() != wRuns.Load() {
+			t.Errorf("target %q: maintainer ran %d engine steps, SummarizeChain %d", target, mRuns.Load(), wRuns.Load())
+		}
+		if m.Head() != ids[len(ids)-1] || !reflect.DeepEqual(m.Versions(), ids) {
+			t.Errorf("target %q: maintainer at %s over %v, want %v", target, m.Head(), m.Versions(), ids)
+		}
+	}
+}
+
+// TestWalksStopOnCancelledContext pins cancellation at the store-backed
+// entry points: with an already-cancelled context both the maintainer
+// constructor and SummarizeChain return the context's error without a
+// single engine run or checkout.
+func TestWalksStopOnCancelledContext(t *testing.T) {
+	st, ids := commitChain(t, gen.ChainConfig{N: 30, Steps: 2, Seed: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var runs atomic.Int64
+	before := st.Stats()
+	if _, err := NewTimelineMaintainer(ctx, st, ids, chainOpts(), countingMemo(&runs)); err != ctx.Err() {
+		t.Errorf("NewTimelineMaintainer err = %v, want %v", err, ctx.Err())
+	}
+	if _, err := SummarizeChain(ctx, st, ids, chainOpts(), countingMemo(&runs)); err != ctx.Err() {
+		t.Errorf("SummarizeChain err = %v, want %v", err, ctx.Err())
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("cancelled walks asked for %d engine runs, want 0", n)
+	}
+	if after := st.Stats(); after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses {
+		t.Errorf("cancelled walks checked out versions: cache hits %d→%d, misses %d→%d",
+			before.CacheHits, after.CacheHits, before.CacheMisses, after.CacheMisses)
 	}
 }

@@ -327,44 +327,6 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	go func() { serveErr <- Serve(ctx, hs, ln, 5*time.Second) }()
 	base := "http://" + ln.Addr().String()
 
-	var mu sync.Mutex
-	var codes []int
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sumBody, _ := json.Marshal(summarizeRequest{From: ids[0], To: ids[1], Target: "salary"})
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var resp *http.Response
-				var err error
-				switch i % 3 {
-				case 0:
-					resp, err = http.Get(base + "/healthz")
-				case 1:
-					resp, err = http.Get(base + "/versions")
-				default:
-					resp, err = http.Post(base+"/summarize", "application/json", bytes.NewReader(sumBody))
-				}
-				if err != nil {
-					// The drain has closed the listener; nothing more to send.
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				mu.Lock()
-				codes = append(codes, resp.StatusCode)
-				mu.Unlock()
-			}
-		}(i)
-	}
-
 	sseDrained := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(base + "/timeline/watch")
@@ -404,12 +366,58 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		pollDrained <- nil
 	}()
 	// Both subscribers must be registered (and holding slots) before the
-	// drain begins, or the test would not exercise their shutdown path.
+	// drain begins, or the test would not exercise their shutdown path. They
+	// register before the hammer starts: with the limiter full, a watch
+	// request would be shed with 429 and never subscribe.
 	for deadline := time.Now().Add(10 * time.Second); srv.watchSubs.Load() < 2; {
 		if time.Now().After(deadline) {
 			t.Fatal("watch subscribers never registered")
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	// The hammer opens a connection per request. On a kept-alive idle
+	// connection, Shutdown can close the socket after the server has read
+	// the next request but before it marks the connection active; that
+	// handler then starts after the drain has returned and shows up as a
+	// leaked in-flight slot below.
+	hammer := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	var mu sync.Mutex
+	var codes []int
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sumBody, _ := json.Marshal(summarizeRequest{From: ids[0], To: ids[1], Target: "salary"})
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var resp *http.Response
+				var err error
+				switch i % 3 {
+				case 0:
+					resp, err = hammer.Get(base + "/healthz")
+				case 1:
+					resp, err = hammer.Get(base + "/versions")
+				default:
+					resp, err = hammer.Post(base+"/summarize", "application/json", bytes.NewReader(sumBody))
+				}
+				if err != nil {
+					// The drain has closed the listener; nothing more to send.
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				mu.Lock()
+				codes = append(codes, resp.StatusCode)
+				mu.Unlock()
+			}
+		}(i)
 	}
 
 	time.Sleep(100 * time.Millisecond) // let the load build
@@ -452,5 +460,57 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	}
 	if got := srv.ServingStats().InFlight; got != 0 {
 		t.Fatalf("in-flight count %d after drain (slot leak)", got)
+	}
+}
+
+// TestBeginDrainStopsPumpRebuilds pins the server's lifetime context: the
+// commit pump builds live maintainers under it, so once the drain has begun
+// a commit that needs a rebuild runs no engine step and is recorded as a
+// skip, while before the drain the same kind of commit rebuilds.
+func TestBeginDrainStopsPumpRebuilds(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := commitLineage(t, st, 3)
+	srv := NewServer(st, 64)
+	var runs atomic.Int64
+	srv.stepHook = func() { runs.Add(1) }
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	commit := func(parent string, salary int) {
+		t.Helper()
+		csv := fmt.Sprintf("name,dept,salary\nanne,eng,%d\nbob,eng,2000\ncara,hr,3000\n", salary)
+		tb, err := csvio.Read(strings.NewReader(csv), csvio.Options{Key: []string{"name"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Commit(tb, parent, "live"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mode := func(m string) map[string]string {
+		return map[string]string{"shard": defShard["shard"], "mode": m}
+	}
+
+	// First interest seeds the live shard at the head without a build; the
+	// next commit has no maintainer to extend, so the pump rebuilds.
+	if pr := pollWatch(t, ts.URL+"/timeline/watch?since="); pr.Head != ids[2] {
+		t.Fatalf("seed poll head %q, want %q", pr.Head, ids[2])
+	}
+	commit(ids[2], 5000)
+	waitMetric(t, ts.URL, "charles_timeline_maintenance_total", mode("rebuild"), 1)
+	if runs.Load() == 0 {
+		t.Fatal("pump rebuild ran no engine step")
+	}
+
+	// A branch off an older version cannot extend the maintainer; after
+	// BeginDrain its rebuild must stop before any engine run.
+	srv.BeginDrain()
+	before := runs.Load()
+	commit(ids[1], 7000)
+	waitMetric(t, ts.URL, "charles_timeline_maintenance_total", mode("skip"), 1)
+	if got := runs.Load(); got != before {
+		t.Errorf("drained pump ran %d engine steps, want 0", got-before)
 	}
 }

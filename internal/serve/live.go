@@ -208,10 +208,8 @@ func (s *Server) applyCommit(ls *liveShard, st *store.Store, v *store.Version) s
 		// fall through to the rebuild.
 	}
 	if mode == "" {
-		idx := new(stepIndex)
-		if m, err := s.rebuildMaintainer(st, ls.key+"|", v.ID, idx); err == nil {
-			ls.maint, ls.steps, mode = m, idx, "rebuild"
-		} else {
+		mode = "rebuild"
+		if err := s.rebuildLocked(s.life, ls, st, v.ID); err != nil {
 			ls.maint, ls.steps, mode = nil, nil, "skip"
 		}
 	}
@@ -220,20 +218,24 @@ func (s *Server) applyCommit(ls *liveShard, st *store.Store, v *store.Version) s
 	return mode
 }
 
-// rebuildMaintainer builds a maintainer from scratch over head's full chain
-// — the fallback when the one-step extension cannot apply. The commit pump
-// has no request context to bound it with. Its memo records every step
-// result in idx.
-func (s *Server) rebuildMaintainer(st *store.Store, prefix, head string, idx *stepIndex) (*history.TimelineMaintainer, error) {
+// rebuildLocked (caller holds ls.mu) replaces the shard's maintainer with
+// one built over head's full chain, every step through the result LRU
+// (which a build therefore also warms for pair questions) and recorded in a
+// fresh step index. On error the shard keeps what it had. Both the commit
+// pump (bounded by the server's lifetime) and live requests (bounded by
+// theirs) build through here.
+func (s *Server) rebuildLocked(ctx context.Context, ls *liveShard, st *store.Store, head string) error {
 	ids, err := chainIDs(st, head)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	mats, err := history.MaterializeChain(st, ids)
+	idx := new(stepIndex)
+	m, err := history.NewTimelineMaintainer(ctx, st, ids, core.DefaultOptions(""), s.stepMemo(ls.key+"|", idx))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return history.NewTimelineMaintainer(mats, ids, core.DefaultOptions(""), s.stepMemo(prefix, idx))
+	ls.maint, ls.steps = m, idx
+	return nil
 }
 
 // publishLocked (caller holds ls.mu) appends one event to the ring and fans
@@ -391,7 +393,7 @@ func (s *Server) watchPoll(ls *liveShard, w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusOK, watchPollResponse{
 			Head: ev.Head, Seq: ev.Seq, Resync: ev.Resync, Events: []watchEvent{ev},
 		})
-	case <-s.drain:
+	case <-s.life.Done():
 		resp.Draining = true
 		writeJSON(w, http.StatusOK, resp)
 	case <-timer.C:
@@ -424,7 +426,7 @@ func (s *Server) watchSSE(ls *liveShard, w http.ResponseWriter, r *http.Request)
 				return
 			}
 			_ = rc.Flush()
-		case <-s.drain:
+		case <-s.life.Done():
 			_ = writeSSE(w, "drain", map[string]string{"reason": "server draining"})
 			_ = rc.Flush()
 			return
@@ -482,11 +484,10 @@ func (s *Server) handleLiveTimeline(sh *shardRef, w http.ResponseWriter, r *http
 }
 
 // liveTimelineAt returns the maintained MultiTimeline for head and the
-// index of its step results, building or rebuilding the shard's maintainer
-// when needed, every step through the result LRU (which a build therefore
-// also warms for pair questions). A maintainer that has already advanced
-// past head (a commit raced the request) answers from its prefix, so the
-// reader still gets a consistent timeline for the head it resolved.
+// index of its step results, rebuilding the shard's maintainer when it does
+// not cover head. A maintainer that has already advanced past head (a
+// commit raced the request) answers from its prefix, so the reader still
+// gets a consistent timeline for the head it resolved.
 func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard, head string) (*history.MultiTimeline, []string, *stepIndex, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -498,22 +499,11 @@ func (s *Server) liveTimelineAt(ctx context.Context, sh *shardRef, ls *liveShard
 			return mt, ids, ls.steps, nil
 		}
 	}
-	ids, err := chainIDs(sh.st, head)
-	if err != nil {
+	if err := s.rebuildLocked(ctx, ls, sh.st, head); err != nil {
 		return nil, nil, nil, err
 	}
-	mats, err := history.MaterializeChainContext(ctx, sh.st, ids)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	idx := new(stepIndex)
-	m, err := history.NewTimelineMaintainerContext(ctx, mats, ids, core.DefaultOptions(""), s.stepMemo(sh.cacheKeyPrefix(), idx))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ls.maint, ls.steps = m, idx
 	if ls.head == "" {
 		ls.head = head
 	}
-	return m.Timeline(), m.Versions(), idx, nil
+	return ls.maint.Timeline(), ls.maint.Versions(), ls.steps, nil
 }

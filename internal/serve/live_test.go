@@ -386,15 +386,13 @@ func TestWatchHammerExactCounters(t *testing.T) {
 		parent = nv.ID
 	}
 
-	// Both SSE subscribers observed the full sequence, in order.
-	close1()
-	close2()
+	// Both SSE subscribers observed the full sequence, in order. Each stream
+	// is read until its event for the final head arrives (the long-poll can
+	// return before a stream has read it) and only then closed.
 	for n, ch := range map[string]<-chan sseEvent{"ch1": ch1, "ch2": ch2} {
 		var seen []watchEvent
-		for ev := range ch {
-			if ev.name != "step" {
-				continue
-			}
+		for len(seen) == 0 || seen[len(seen)-1].Head != parent {
+			ev := nextEvent(t, ch, "step")
 			var we watchEvent
 			if err := json.Unmarshal([]byte(ev.data), &we); err != nil {
 				t.Fatalf("%s: bad step event %s", n, ev.data)
@@ -413,6 +411,8 @@ func TestWatchHammerExactCounters(t *testing.T) {
 			t.Errorf("%s: final event head %q resync %v, want %q false", n, last.Head, last.Resync, parent)
 		}
 	}
+	close1()
+	close2()
 	waitMetric(t, ts.URL, "charles_watch_subscribers", nil, 0)
 
 	// A blocked long-poll is visible in the subscriber gauge, and the drain

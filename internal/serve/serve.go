@@ -129,12 +129,14 @@ type Server struct {
 	// live is the commit-driven timeline registry (see live.go); the pump
 	// goroutine feeds it from the store/hub commit subscription. watchSubs
 	// counts active /timeline/watch subscribers (SSE + blocked long-polls).
-	// drain is closed by BeginDrain so watch handlers end promptly inside
-	// the graceful-drain window.
+	// life is the server's lifetime context: it bounds the work the commit
+	// pump does on no request's behalf, and BeginDrain cancels it (endLife)
+	// so that work and the watch handlers end promptly inside the
+	// graceful-drain window.
 	live      *liveRegistry
 	watchSubs atomic.Int64
-	drain     chan struct{}
-	drainOnce sync.Once
+	life      context.Context
+	endLife   context.CancelFunc
 
 	// Test seams (set only from package tests): testDelay runs after a
 	// limiter slot is held, stepHook on every timeline engine run the result
@@ -219,8 +221,8 @@ func newServer(st *store.Store, h *store.Hub, cfg Config) *Server {
 		defTenant: cfg.DefaultTenant, defDataset: cfg.DefaultDataset,
 		reqLog: newRequestLogger(cfg.RequestLog),
 		live:   newLiveRegistry(),
-		drain:  make(chan struct{}),
 	}
+	s.life, s.endLife = context.WithCancel(context.Background()) //lint:allow ctxflow the server owns its lifetime: the commit pump works on no request's behalf, so only BeginDrain can end it
 	s.metrics = newServerMetrics(s)
 	if cfg.MaxInFlight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInFlight)
@@ -434,11 +436,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // BeginDrain tells long-lived handlers (SSE streams, blocked long-polls on
 // /timeline/watch) that shutdown has begun: they finish their current write
 // and return, releasing their limiter slots inside the graceful-drain
-// window instead of holding connections open until the force-close.
-// Idempotent; called by the lifecycle (see Serve) at SIGTERM.
-func (s *Server) BeginDrain() {
-	s.drainOnce.Do(func() { close(s.drain) })
-}
+// window instead of holding connections open until the force-close. It
+// also cancels the commit pump's maintainer builds. Idempotent; called by
+// the lifecycle (see Serve) at SIGTERM.
+func (s *Server) BeginDrain() { s.endLife() }
 
 // Stats snapshots the summarize cache counters.
 func (s *Server) Stats() Stats { return s.cache.Stats() }

@@ -26,7 +26,7 @@ type timelineRequest struct {
 // handleTimeline summarizes the store lineage root → head. The
 // head-relative all-defaults question is answered from the live maintained
 // timeline (see live.go); an explicit head, target or tuning field walks
-// the chain through history.SummarizeChainContext with every engine run
+// the chain through history.SummarizeChain with every engine run
 // memoized in the result LRU under the same (from, to,
 // options-fingerprint) key POST /summarize uses, so a walk warms the pair
 // cache and vice versa, and identical in-flight work collapses to one
@@ -72,7 +72,7 @@ func (s *Server) handleTimeline(sh *shardRef, w http.ResponseWriter, r *http.Req
 		base.TopK = *req.TopK
 	}
 	idx := new(stepIndex)
-	mt, err := history.SummarizeChainContext(r.Context(), sh.st, ids, base, s.stepMemo(sh.cacheKeyPrefix(), idx))
+	mt, err := history.SummarizeChain(r.Context(), sh.st, ids, base, s.stepMemo(sh.cacheKeyPrefix(), idx))
 	if err != nil {
 		writeError(w, err)
 		return

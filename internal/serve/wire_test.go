@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,6 +103,26 @@ func referenceTimeline(ids []string, mt *history.MultiTimeline, cached func(from
 	return resp
 }
 
+// memSource serves in-memory snapshots by version id, so reference
+// timelines are computed from the generated tables, not the server's store.
+type memSource map[string]*table.Table
+
+// snapSource maps ids[i] to snaps[i].
+func snapSource(ids []string, snaps []*table.Table) memSource {
+	src := memSource{}
+	for i, id := range ids {
+		src[id] = snaps[i]
+	}
+	return src
+}
+
+func (m memSource) Checkout(id string) (*table.Table, error) {
+	if t, ok := m[id]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("unknown version %s", id)
+}
+
 // ranEngine reports whether a walk ran (or looked up) the engine for an
 // attribute's step: a step the attribute did not change in has neither a
 // ranking nor a memo entry.
@@ -141,7 +162,7 @@ func TestTimelineWireMatchesReference(t *testing.T) {
 		fp := base.Fingerprint()
 		m, ok := refs[fp]
 		if !ok {
-			if m, err = history.NewTimelineMaintainer(snaps[:len(ids)], ids, base, nil); err != nil {
+			if m, err = history.NewTimelineMaintainer(context.Background(), snapSource(ids, snaps), ids, base, nil); err != nil {
 				t.Fatal(err)
 			}
 			refs[fp] = m
@@ -294,7 +315,8 @@ func TestTimelineWireMatchesReference(t *testing.T) {
 	}
 	v := commitOne(t, ts.URL, branch, ids[10])
 	branchIDs := append(append([]string(nil), ids[:11]...), v.ID)
-	m, err := history.NewTimelineMaintainer(append(append([]*table.Table(nil), snaps[:11]...), branch), branchIDs, core.DefaultOptions(""), nil)
+	branchSnaps := append(append([]*table.Table(nil), snaps[:11]...), branch)
+	m, err := history.NewTimelineMaintainer(context.Background(), snapSource(branchIDs, branchSnaps), branchIDs, core.DefaultOptions(""), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

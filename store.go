@@ -1,6 +1,8 @@
 package charles
 
 import (
+	"context"
+
 	"charles/internal/diff"
 	"charles/internal/history"
 	"charles/internal/predicate"
@@ -76,19 +78,13 @@ func DiffSnapshots(src, tgt *Table, tol float64) (*DiffResult, error) {
 }
 
 // SummarizeTimelineChain walks the stored version ids in order and
-// summarizes every changed numeric attribute of every consecutive pair.
-// Cold walks are delta-native — one checkout at the chain root, then
-// step-by-step application of each version's ChangeSet — and warm walks are
-// served from the store's table cache without parsing.
-func SummarizeTimelineChain(src *VersionStore, ids []string, base Options) (*MultiTimeline, error) {
-	return history.SummarizeChain(src, ids, base)
-}
-
-// MaterializeVersions materializes the given version ids in order,
-// delta-natively where possible (see SummarizeTimelineChain); the returned
-// tables are identical to per-id checkouts.
-func MaterializeVersions(src *VersionStore, ids []string) ([]*Table, error) {
-	return history.MaterializeChain(src, ids)
+// summarizes every changed numeric attribute of every consecutive pair
+// (only base.Target when it is set). Cold walks are delta-native — one
+// checkout at the chain root, then step-by-step application of each
+// version's ChangeSet — and warm walks are served from the store's table
+// cache without parsing. Cancelling ctx stops the walk.
+func SummarizeTimelineChain(ctx context.Context, src *VersionStore, ids []string, base Options) (*MultiTimeline, error) {
+	return history.SummarizeChain(ctx, src, ids, base, nil)
 }
 
 // TimelineMaintainer incrementally maintains a MultiTimeline over a growing
@@ -99,10 +95,11 @@ func MaterializeVersions(src *VersionStore, ids []string) ([]*Table, error) {
 // the same ids.
 type TimelineMaintainer = history.TimelineMaintainer
 
-// NewTimelineMaintainer seeds a maintainer over a materialized chain: the
-// snapshots and their version ids, root→head, at least 2 of each.
-func NewTimelineMaintainer(snaps []*Table, ids []string, base Options) (*TimelineMaintainer, error) {
-	return history.NewTimelineMaintainer(snaps, ids, base, nil)
+// NewTimelineMaintainer seeds a maintainer over the stored version ids,
+// root→head, at least 2; it materializes the chain itself, exactly as
+// SummarizeTimelineChain does. Cancelling ctx stops the seed walk.
+func NewTimelineMaintainer(ctx context.Context, src *VersionStore, ids []string, base Options) (*TimelineMaintainer, error) {
+	return history.NewTimelineMaintainer(ctx, src, ids, base, nil)
 }
 
 // CommitNote is one commit notification delivered on a VersionStore
