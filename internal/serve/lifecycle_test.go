@@ -376,12 +376,6 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The hammer opens a connection per request. On a kept-alive idle
-	// connection, Shutdown can close the socket after the server has read
-	// the next request but before it marks the connection active; that
-	// handler then starts after the drain has returned and shows up as a
-	// leaked in-flight slot below.
-	hammer := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	var mu sync.Mutex
 	var codes []int
 	var wg sync.WaitGroup
@@ -401,11 +395,11 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					resp, err = hammer.Get(base + "/healthz")
+					resp, err = http.Get(base + "/healthz")
 				case 1:
-					resp, err = hammer.Get(base + "/versions")
+					resp, err = http.Get(base + "/versions")
 				default:
-					resp, err = hammer.Post(base+"/summarize", "application/json", bytes.NewReader(sumBody))
+					resp, err = http.Post(base+"/summarize", "application/json", bytes.NewReader(sumBody))
 				}
 				if err != nil {
 					// The drain has closed the listener; nothing more to send.
@@ -460,6 +454,137 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	}
 	if got := srv.ServingStats().InFlight; got != 0 {
 		t.Fatalf("in-flight count %d after drain (slot leak)", got)
+	}
+}
+
+// TestServeDrainWaitsForLateHandlers: a clean drain leaves no handler
+// running. Shutdown closes a kept-alive connection it sees idle, and it can
+// do so just after that connection has read its next request; the request's
+// handler then starts after Shutdown has returned. Serve must wait for it.
+// The window is narrow, so the test repeats short drains under keep-alive
+// load and fails if any handler ends after a clean Serve return.
+func TestServeDrainWaitsForLateHandlers(t *testing.T) {
+	cycles := 100
+	if testing.Short() {
+		cycles = 20
+	}
+	for cycle := 0; cycle < cycles; cycle++ {
+		var returned atomic.Bool
+		var running, late atomic.Int64
+		hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			running.Add(1)
+			defer running.Add(-1)
+			_, _ = io.WriteString(w, "ok")
+			time.Sleep(time.Millisecond)
+			if returned.Load() {
+				late.Add(1)
+			}
+		})}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- Serve(ctx, hs, ln, 5*time.Second) }()
+		tr := &http.Transport{MaxIdleConnsPerHost: 16}
+		client := &http.Client{Transport: tr}
+		url := "http://" + ln.Addr().String()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp, err := client.Get(url)
+					if err != nil {
+						continue
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}()
+		}
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+		err = <-serveErr
+		returned.Store(true)
+		close(stop)
+		wg.Wait()
+		tr.CloseIdleConnections()
+		if err != nil {
+			t.Fatalf("cycle %d: drain returned %v, want clean shutdown", cycle, err)
+		}
+		for deadline := time.Now().Add(time.Second); running.Load() > 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := late.Load(); n != 0 {
+			t.Fatalf("cycle %d: %d handler(s) ended after a clean drain returned", cycle, n)
+		}
+	}
+}
+
+// TestServeDrainClosesSilentConns: a connection that has sent no request
+// does not hold the drain to its deadline. One silent connection stays
+// silent and is closed silentConnGrace into the drain; another sends its
+// request inside that grace and gets its answer.
+func TestServeDrainClosesSilentConns(t *testing.T) {
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, "ok")
+	})}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- Serve(ctx, hs, ln, 4*silentConnGrace) }()
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	silent, late := dial(), dial()
+	// Both connections must be accepted before the drain closes the listener.
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	cancel()
+
+	time.Sleep(silentConnGrace / 4)
+	if _, err := io.WriteString(late, "GET / HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	_ = late.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(late)
+	if err != nil || !bytes.HasPrefix(got, []byte("HTTP/1.1 200")) || !bytes.HasSuffix(got, []byte("ok")) {
+		t.Fatalf("request sent inside the grace: %q, %v; want a 200 answer", got, err)
+	}
+
+	select {
+	case err := <-serveErr:
+		if err != nil {
+			t.Fatalf("drain returned %v, want clean shutdown", err)
+		}
+	case <-time.After(5 * silentConnGrace):
+		t.Fatal("drain did not complete")
+	}
+	if d := time.Since(start); d > 2*silentConnGrace {
+		t.Errorf("drain took %v with a silent connection open, want about %v", d, silentConnGrace)
+	}
+	_ = silent.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := silent.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Errorf("silent connection read %d, %v after the drain; want EOF", n, err)
 	}
 }
 
