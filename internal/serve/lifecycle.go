@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -14,13 +13,12 @@ import (
 // signal.NotifyContext), then drains gracefully: no new connections are
 // accepted, in-flight requests get up to drainTimeout to finish, and only
 // then are the stragglers' request contexts cancelled and their connections
-// force-closed. A connection that has sent no request is given
-// silentConnGrace into the drain to send one and is then closed as idle;
-// Serve returns only after every connection's handler has ended. The
-// return value is nil for a clean lifecycle —
-// http.ErrServerClosed is the *expected* way a drained server's Serve loop
-// ends, not a failure — and non-nil only for a real serve error (bad
-// listener, accept failure) or a drain that had to force-close connections.
+// force-closed; Serve returns only after every handler has ended. It sets
+// srv's BaseContext and ConnState. The return value is nil for a clean
+// lifecycle — http.ErrServerClosed is the *expected* way a drained server's
+// Serve loop ends, not a failure — and non-nil only for a real serve error
+// (bad listener, accept failure) or a drain that had to force-close
+// connections.
 func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drainTimeout time.Duration) error {
 	// Base every request on a context the lifecycle owns: it stays alive
 	// through the graceful drain window (cancelling it at SIGTERM would
@@ -31,13 +29,13 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drainTimeout 
 	reqCtx, cancelReqs := context.WithCancel(context.Background()) //lint:allow ctxflow BaseContext must outlive ctx through the drain window; deriving from ctx would abort draining requests at SIGTERM
 	defer cancelReqs()
 	srv.BaseContext = func(net.Listener) context.Context { return reqCtx }
-
-	conns := &connTracker{silent: map[net.Conn]bool{}}
-	prevState := srv.ConnState
-	srv.ConnState = func(c net.Conn, st http.ConnState) {
-		conns.track(c, st)
-		if prevState != nil {
-			prevState(c, st)
+	var open atomic.Int64 // connections whose goroutines still run
+	srv.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
 		}
 	}
 
@@ -61,10 +59,16 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drainTimeout 
 
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout) //lint:allow ctxflow the drain deadline must keep running after ctx (the SIGTERM context) is already cancelled
 	defer cancel()
-	conns.beginDrain()
 	err := srv.Shutdown(dctx)
-	if err == nil {
-		err = conns.waitClosed(dctx)
+	// Shutdown can close a kept-alive connection it sees idle just after
+	// that connection read its next request; the handler then runs after
+	// Shutdown has returned. Wait for it too.
+	for err == nil && open.Load() > 0 {
+		select {
+		case <-dctx.Done():
+			err = dctx.Err()
+		case <-time.After(time.Millisecond):
+		}
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		// Drain deadline hit: cancel the stragglers' contexts and cut the
@@ -79,77 +83,4 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drainTimeout 
 		err = serr
 	}
 	return err
-}
-
-// silentConnGrace is how long a drain lets a connection that has not sent
-// a request yet send one before closing it as idle.
-const silentConnGrace = time.Second
-
-// connTracker follows the server's connections through a drain.
-// http.Server.Shutdown falls short in two ways. It counts a connection
-// that has not sent a request yet (a browser's preconnect, a pooled dial
-// its client never used) as busy for five seconds, so one such connection
-// can hold the drain until its deadline. And it can close a kept-alive
-// connection it sees idle just after that connection has read its next
-// request; that handler then runs after Shutdown has returned.
-type connTracker struct {
-	open atomic.Int64 // connections whose goroutines are still running
-
-	mu       sync.Mutex
-	silent   map[net.Conn]bool // accepted, no request read yet
-	draining bool
-}
-
-// track is the server's ConnState hook.
-func (t *connTracker) track(c net.Conn, st http.ConnState) {
-	switch st {
-	case http.StateNew:
-		t.open.Add(1)
-	case http.StateClosed, http.StateHijacked:
-		t.open.Add(-1)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st != http.StateNew {
-		delete(t.silent, c)
-		return
-	}
-	t.silent[c] = true
-	if t.draining {
-		t.closeIfSilent(c)
-	}
-}
-
-// beginDrain gives every silent connection, and every one accepted from
-// now on, silentConnGrace to send a request before it is closed.
-func (t *connTracker) beginDrain() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.draining = true
-	for c := range t.silent {
-		t.closeIfSilent(c)
-	}
-}
-
-func (t *connTracker) closeIfSilent(c net.Conn) {
-	time.AfterFunc(silentConnGrace, func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if t.silent[c] {
-			_ = c.Close()
-		}
-	})
-}
-
-// waitClosed polls until every connection's goroutine has ended, so no
-// handler is still running, or until ctx ends.
-func (t *connTracker) waitClosed(ctx context.Context) error {
-	for t.open.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return nil
 }

@@ -530,64 +530,6 @@ func TestServeDrainWaitsForLateHandlers(t *testing.T) {
 	}
 }
 
-// TestServeDrainClosesSilentConns: a connection that has sent no request
-// does not hold the drain to its deadline. One silent connection stays
-// silent and is closed silentConnGrace into the drain; another sends its
-// request inside that grace and gets its answer.
-func TestServeDrainClosesSilentConns(t *testing.T) {
-	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, "ok")
-	})}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- Serve(ctx, hs, ln, 4*silentConnGrace) }()
-	dial := func() net.Conn {
-		t.Helper()
-		c, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	silent, late := dial(), dial()
-	// Both connections must be accepted before the drain closes the listener.
-	time.Sleep(50 * time.Millisecond)
-	start := time.Now()
-	cancel()
-
-	time.Sleep(silentConnGrace / 4)
-	if _, err := io.WriteString(late, "GET / HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	_ = late.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := io.ReadAll(late)
-	if err != nil || !bytes.HasPrefix(got, []byte("HTTP/1.1 200")) || !bytes.HasSuffix(got, []byte("ok")) {
-		t.Fatalf("request sent inside the grace: %q, %v; want a 200 answer", got, err)
-	}
-
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("drain returned %v, want clean shutdown", err)
-		}
-	case <-time.After(5 * silentConnGrace):
-		t.Fatal("drain did not complete")
-	}
-	if d := time.Since(start); d > 2*silentConnGrace {
-		t.Errorf("drain took %v with a silent connection open, want about %v", d, silentConnGrace)
-	}
-	_ = silent.SetReadDeadline(time.Now().Add(time.Second))
-	if n, err := silent.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		t.Errorf("silent connection read %d, %v after the drain; want EOF", n, err)
-	}
-}
-
 // TestBeginDrainStopsPumpRebuilds pins the server's lifetime context: the
 // commit pump builds live maintainers under it, so once the drain has begun
 // a commit that needs a rebuild runs no engine step and is recorded as a
